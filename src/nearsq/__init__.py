@@ -27,7 +27,6 @@ from .constants import (
     delta_range,
     k_min,
     sieve_lower_constant,
-    weighted_sieve_budget,
     weighted_sieve_constant,
 )
 from .errors import (

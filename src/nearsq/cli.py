@@ -27,7 +27,7 @@ from .constants import (
     sieve_lower_constant,
     weighted_sieve_constant,
 )
-from .errors import EXIT_USAGE, NearsqError, RegimeError, exit_code_for
+from .errors import EXIT_USAGE, InvalidArgumentError, NearsqError, RegimeError, exit_code_for
 from .experiments import (
     almost_prime_count,
     count_near_squares,
@@ -42,17 +42,6 @@ from .reports import csv_text, fraction_str, json_report, sig12, table_text
 from .sievefn import build_sieve_table, mertens_product
 
 OUTPUT_DIR_ENV = "NEARSQ_OUTPUT_DIR"
-
-COMMANDS = (
-    "sieve-fn",
-    "mertens",
-    "constant",
-    "threshold",
-    "psi-approx",
-    "expsum-check",
-    "experiment",
-    "sweep",
-)
 
 
 @dataclass
@@ -87,7 +76,7 @@ def _format_report(report: dict, config: RunConfig) -> str:
     if config.output_format == "csv":
         header = list(report)
         return csv_text(header, [[report[k] for k in header]])
-    raise NearsqError(f"unknown output format {config.output_format!r}")
+    raise InvalidArgumentError(f"unknown output format {config.output_format!r}")
 
 
 def _cmd_sieve_fn(config: RunConfig) -> dict:
@@ -209,9 +198,22 @@ def _cmd_psi_approx(config: RunConfig) -> dict:
     }
 
 
+# parameters each expsum check cannot run without
+_EXPSUM_REQUIRED = {
+    "quadruples": ("M", "N", "theta"),
+    "pairs": ("N", "X"),
+    "bilinear": ("N", "H0"),
+}
+
+
 def _cmd_expsum_check(config: RunConfig) -> dict:
     p = config.parameters
     check = p.get("check", "pairs")
+    if check not in _EXPSUM_REQUIRED:
+        raise InvalidArgumentError(f"unknown expsum check {check!r}")
+    missing = [f"--{name}" for name in _EXPSUM_REQUIRED[check] if p.get(name) is None]
+    if missing:
+        raise InvalidArgumentError(f"expsum check {check!r} needs {', '.join(missing)}")
     if check == "quadruples":
         rec = quadruple_count(
             int(p["M"]), int(p["N"]), float(p["theta"]),
@@ -225,7 +227,7 @@ def _cmd_expsum_check(config: RunConfig) -> dict:
             seed=config.seed,
         )
         rec = pair_count(B, float(p["X"]))
-    elif check == "bilinear":
+    else:
         N = int(p["N"])
         A = generate_subset(N, p.get("kind", "full"), density=p.get("density"), seed=config.seed)
         B = generate_subset(
@@ -234,8 +236,6 @@ def _cmd_expsum_check(config: RunConfig) -> dict:
         rec = bilinear_sum_check(
             int(p["H0"]), A, B, d=int(p.get("d", 1)), weights=p.get("weights", "unit")
         )
-    else:
-        raise NearsqError(f"unknown expsum check {check!r}")
     return {
         "check": rec.check,
         "params": rec.params,
@@ -315,7 +315,7 @@ def _sweep_rows(config: RunConfig, skip: int = 0) -> tuple[list[str], list[list]
         end = float(p.get("delta_end", 0.0121))
         step = float(p.get("delta_step", 1e-4))
         if step <= 0:
-            raise NearsqError("sweep step must be positive")
+            raise InvalidArgumentError("sweep step must be positive")
         deltas = []
         j = 0
         while True:
@@ -349,7 +349,7 @@ def _sweep_rows(config: RunConfig, skip: int = 0) -> tuple[list[str], list[list]
         args = [(n, h0, d) for n in sizes]
         fn = _bilinear_row
     else:
-        raise NearsqError(f"unknown sweep target {target!r}")
+        raise InvalidArgumentError(f"unknown sweep target {target!r}")
     results = _parallel_map(fn, args[skip:], config.threads)
     return header, results, len(args)
 
@@ -409,25 +409,28 @@ def _cmd_sweep(config: RunConfig) -> str:
     return csv_text(header, rows)
 
 
+# subcommand -> handler; a handler returns a report dict, or CSV text (sweep)
+COMMANDS = {
+    "sieve-fn": _cmd_sieve_fn,
+    "mertens": _cmd_mertens,
+    "constant": _cmd_constant,
+    "threshold": _cmd_threshold,
+    "psi-approx": _cmd_psi_approx,
+    "expsum-check": _cmd_expsum_check,
+    "experiment": _cmd_experiment,
+    "sweep": _cmd_sweep,
+}
+
+
 def dispatch(config: RunConfig) -> int:
     """Run one command and emit exactly one report; returns the exit code."""
-    if config.command not in COMMANDS:
+    handler = COMMANDS.get(config.command)
+    if handler is None:
         sys.stderr.write(f"error: unknown command {config.command!r}\n")
         return EXIT_USAGE
     try:
-        if config.command == "sweep":
-            text = _cmd_sweep(config)
-        else:
-            handler = {
-                "sieve-fn": _cmd_sieve_fn,
-                "mertens": _cmd_mertens,
-                "constant": _cmd_constant,
-                "threshold": _cmd_threshold,
-                "psi-approx": _cmd_psi_approx,
-                "expsum-check": _cmd_expsum_check,
-                "experiment": _cmd_experiment,
-            }[config.command]
-            text = _format_report(handler(config), config)
+        out = handler(config)
+        text = out if isinstance(out, str) else _format_report(out, config)
         _emit(text, config)
         return 0
     except NearsqError as exc:
@@ -478,8 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="weighted-sieve constant C(delta, k)",
         description="Evaluates C(delta,k) = 6/(1-2 delta) * (log(4-10 delta) "
         "+ int_2^{3-10 delta} (log(s-1)/s) log((4-10 delta)/(s+1)) ds - half the "
-        "mid-range prime upper term), in both its printed single-integral form "
-        "and its unsimplified double-integral form.",
+        "mid-range prime upper term) as one single-integral formula with two "
+        "log arguments: the printed one (value) and the one re-derived from the "
+        "double integrals by Fubini (value_unsimplified).",
     )
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--delta", type=float, required=True)

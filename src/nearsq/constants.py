@@ -3,8 +3,8 @@
 Covers the minimal almost-prime order k for given size exponents, the level
 of distribution exponent alpha, the admissible closeness-exponent interval
 for each k, the reconstructed lower-bound constant of the plain sieve route,
-and the weighted-sieve constant C(delta, k) for k in {4, 5} together with
-its independently evaluated unsimplified form.
+and the weighted-sieve constant C(delta, k) for k in {4, 5} in its printed
+form and in the form re-derived from its double integrals.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .arith import as_fraction
 from .errors import InvalidArgumentError, RegimeError
-from .quadrature import gauss_legendre, integrate
-from .sievefn import EULER_GAMMA, lower_closed
+from .quadrature import integrate
+from .sievefn import EULER_GAMMA, log_ratio, lower_closed
 
 DISCREPANCY_TOL = 1e-6
 _HALF = Fraction(1, 2)
@@ -168,12 +168,14 @@ def sieve_lower_constant(params: RegimeParams) -> ConstantReport:
 
 @dataclass(frozen=True)
 class WeightedConstantReport:
-    """Weighted-sieve constant C(delta, k), printed form and unsimplified form.
+    """Weighted-sieve constant C(delta, k), printed form and re-derived form.
 
-    ``value`` evaluates the single-integral closed formula;
-    ``value_unsimplified`` re-derives the same quantity through the double
-    integrals it came from.  When the two disagree beyond DISCREPANCY_TOL
-    the unsimplified value is authoritative.
+    Both forms are one formula with two log arguments (see
+    ``weighted_sieve_constant``).  ``value`` uses the printed argument;
+    ``value_unsimplified`` uses the argument obtained from the double
+    integrals behind the printed formula by Fubini.  When the two disagree
+    beyond DISCREPANCY_TOL the re-derived value is authoritative.
+    ``quad_error`` sums the error estimates of the three single integrals.
     """
 
     delta: float
@@ -188,87 +190,44 @@ class WeightedConstantReport:
         return abs(self.discrepancy) > DISCREPANCY_TOL
 
 
-def _quad(fn, a, b, tol, rule):
-    if rule == "adaptive-simpson":
-        res = integrate(fn, a, b, tol=tol, endpoint_shift=1e-12)
-        return res.value, res.error_estimate
-    if rule == "gauss-legendre-64":
-        return gauss_legendre(fn, a, b, nodes=64), 0.0
-    raise InvalidArgumentError(f"unknown quadrature rule {rule!r}")
+def weighted_sieve_constant(delta: float, k: int, tol: float = 1e-9) -> WeightedConstantReport:
+    """C(delta, k) for k in {4, 5} and 0 < delta < 1/10, both printed and re-derived.
 
+    With c = 5 - 10 delta, top = c - 1 and g(s) = log(s - 1)/s, both forms
+    evaluate
 
-def _check_weighted_regime(delta: float, k: int, orders=(4, 5)) -> None:
-    if k not in orders:
-        raise InvalidArgumentError(f"order k must be one of {sorted(orders)}, got {k}")
-    if not 0.0 < delta < 0.1:
-        raise RegimeError("closeness exponent delta must lie in (0, 1/10)")
+        6/(1 - 2 delta) * (log top + J(top/(s+1)) - log(ratio)/2 - J(arg)/2),
 
-
-def weighted_sieve_budget(
-    delta: float, k: int, tol: float = 1e-9, rule: str = "adaptive-simpson"
-) -> tuple[float, float]:
-    """Lower-term and upper-term coefficients of the weighted sum bound.
-
-    Returns (lower_coeff, upper_coeff) with C(delta, k) = lower_coeff -
-    upper_coeff / 2.  The upper coefficient integrates the upper density
-    over the mid-range prime scale and is evaluated from its double-integral
-    form; at k = 15 the prime range is empty and it vanishes.
+    where J(h) = int_2^{top-1} g(s) log h(s) ds and ratio = top (15/k) /
+    (c - 15/k).  The printed form takes arg(s) = top c/(s+1) - 1.  The
+    re-derived form takes arg(s) = top (top - s)/(s+1): it is the Fubini
+    collapse of the lower term's double integral and of the mid-range prime
+    upper term 30 int_{t_lo}^{top} (1 + G(t - 1)) / (t (c - t)) dt, with
+    G(x) = int_2^{max(x, 2)} g; it needs t_lo = c - 15/k < 3, which holds
+    for k in {4, 5}.
     """
-    if not 4 <= k <= 15:
-        raise InvalidArgumentError("upper-term coefficient is defined for 4 <= k <= 15")
+    if k not in (4, 5):
+        raise InvalidArgumentError(f"order k must be one of [4, 5], got {k}")
     if not 0.0 < delta < 0.1:
         raise RegimeError("closeness exponent delta must lie in (0, 1/10)")
-    c = 5.0 - 10.0 * delta
-    top = 4.0 - 10.0 * delta
-    s_hi = 3.0 - 10.0 * delta
-    pref = 6.0 / (1.0 - 2.0 * delta)
-
-    def g(s):
-        return math.log(s - 1.0) / s
-
-    def inner(t):
-        return integrate(g, 2.0, t - 1.0, tol=tol * 1e-2).value
-
-    j1, _ = _quad(lambda s: g(s) * math.log(top / (s + 1.0)), 2.0, s_hi, tol, rule)
-    lower = pref * (math.log(top) + j1)
-
-    t_lo = c - 15.0 / k
-    u1, _ = _quad(lambda t: 1.0 / (t * (c - t)), t_lo, top, tol, rule)
-    u2, _ = _quad(lambda t: inner(t) / (t * (c - t)), max(3.0, t_lo), top, tol, rule)
-    upper = 30.0 * (u1 + u2)
-    return lower, upper
-
-
-def weighted_sieve_constant(
-    delta: float, k: int, tol: float = 1e-9, rule: str = "adaptive-simpson"
-) -> WeightedConstantReport:
-    """C(delta, k) for k in {4, 5} and 0 < delta < 1/10, both printed and re-derived."""
-    _check_weighted_regime(delta, k)
     c = 5.0 - 10.0 * delta
     top = 4.0 - 10.0 * delta
     s_hi = 3.0 - 10.0 * delta
     pref = 6.0 / (1.0 - 2.0 * delta)
     ratio = top / (c - 15.0 / k) * (15.0 / k)
 
-    def g(s):
-        return math.log(s - 1.0) / s
+    def j(h):
+        res = integrate(
+            lambda s: log_ratio(s) * math.log(h(s)), 2.0, s_hi, tol=tol, endpoint_shift=1e-12
+        )
+        return res.value, res.error_estimate
 
-    j1, e1 = _quad(lambda s: g(s) * math.log(top / (s + 1.0)), 2.0, s_hi, tol, rule)
-    j2, e2 = _quad(
-        lambda s: g(s) * math.log(top * c / (s + 1.0) - 1.0), 2.0, s_hi, tol, rule
-    )
-    value = pref * (math.log(top) + j1 - 0.5 * math.log(ratio) - 0.5 * j2)
-
-    # independent route: the lower term through its nested double integral,
-    # the upper term through weighted_sieve_budget's double-integral form
-    def inner(t):
-        return integrate(g, 2.0, t - 1.0, tol=tol * 1e-2).value
-
-    d1, e3 = _quad(lambda t: inner(t) / t, 3.0, top, tol, rule)
-    lower_unsimplified = pref * (math.log(top) + d1)
-    _, upper = weighted_sieve_budget(delta, k, tol=tol, rule=rule)
-    value_unsimplified = lower_unsimplified - 0.5 * upper
-
+    j1, e1 = j(lambda s: top / (s + 1.0))
+    j2, e2 = j(lambda s: top * c / (s + 1.0) - 1.0)  # printed
+    j3, e3 = j(lambda s: top * (top - s) / (s + 1.0))  # re-derived
+    shared = math.log(top) + j1 - 0.5 * math.log(ratio)
+    value = pref * (shared - 0.5 * j2)
+    value_unsimplified = pref * (shared - 0.5 * j3)
     return WeightedConstantReport(
         delta=float(delta),
         k=k,

@@ -1,10 +1,12 @@
 """Sawtooth trigonometric approximation and brute-force checks of oscillation bounds.
 
-The sawtooth approximation realizes the classical construction: a degree-H
-trigonometric polynomial whose pointwise error is dominated by a nonnegative
-Fejer-type kernel with coefficients of size 1/H.  The bound checkers
-enumerate the counting quantities behind the bilinear dispersion argument
-exactly and record measured/bound ratios for regression.
+The sawtooth approximation realizes the classical construction of
+J. D. Vaaler (Some extremal functions in Fourier analysis, Bull. Amer. Math.
+Soc. 12 (1985), 183-216): a degree-H trigonometric polynomial whose
+pointwise error is dominated by a nonnegative Fejer-type kernel with
+coefficients of size 1/H.  The bound checkers enumerate the counting
+quantities behind the bilinear dispersion argument exactly and record
+measured/bound ratios for regression.
 """
 
 from __future__ import annotations

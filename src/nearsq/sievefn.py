@@ -33,8 +33,8 @@ EULER_GAMMA = 0.57721566490153286061  # 20 significant digits
 EXP_GAMMA = math.exp(EULER_GAMMA)
 
 
-def _log_ratio(t: float) -> float:
-    # integrand log(t - 1) / t; value 0 at t = 2, integrable everywhere we use it
+def log_ratio(t: float) -> float:
+    """The kernel g(t) = log(t - 1) / t of every closed form; g(2) = 0."""
     return math.log(t - 1.0) / t
 
 
@@ -45,7 +45,7 @@ def upper_closed(u: float, tol: float = 1e-10) -> float:
     u = min(u, 5.0)
     if u <= 3.0:
         return 2.0 * EXP_GAMMA / u
-    inner = integrate(_log_ratio, 2.0, u - 1.0, tol=tol)
+    inner = integrate(log_ratio, 2.0, u - 1.0, tol=tol)
     return 2.0 * EXP_GAMMA / u * (1.0 + inner.value)
 
 
@@ -53,7 +53,9 @@ def lower_closed(u: float, tol: float = 1e-10) -> float:
     """Closed-form lower density on (0, 6].
 
     On (2, 4] the delay system integrates in elementary terms to
-    2*e^gamma*log(u-1)/u; on (4, 6] the nested integral form applies.
+    2*e^gamma*log(u-1)/u.  On (4, 6] it gives the double integral
+    int_3^{u-1} (1/t) int_2^{t-1} g(s) ds dt, which Fubini turns into the
+    single integral int_2^{u-2} g(s) log((u-1)/(s+1)) ds.
     """
     if not 0.0 < u <= 6.0 + 1e-9:
         raise RangeError(f"lower density closed form needs 0 < u <= 6, got {u}")
@@ -62,11 +64,9 @@ def lower_closed(u: float, tol: float = 1e-10) -> float:
         return 0.0
     if u <= 4.0:
         return 2.0 * EXP_GAMMA * math.log(u - 1.0) / u
-
-    def outer(t: float) -> float:
-        return integrate(_log_ratio, 2.0, t - 1.0, tol=tol * 0.01).value / t
-
-    inner = integrate(outer, 3.0, u - 1.0, tol=tol)
+    inner = integrate(
+        lambda s: log_ratio(s) * math.log((u - 1.0) / (s + 1.0)), 2.0, u - 2.0, tol=tol
+    )
     return 2.0 * EXP_GAMMA / u * (math.log(u - 1.0) + inner.value)
 
 

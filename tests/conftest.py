@@ -3,7 +3,8 @@ import math
 import pytest
 
 from nearsq.arith import build_prime_table
-from nearsq.sievefn import build_sieve_table
+from nearsq.quadrature import integrate
+from nearsq.sievefn import EXP_GAMMA, build_sieve_table, log_ratio
 
 
 @pytest.fixture(scope="session")
@@ -29,6 +30,36 @@ def midpoint_rule(fn, a, b, n=10**6):
     h = (b - a) / n
     xs = a + (np.arange(n) + 0.5) * h
     return float(np.sum(fn(xs)) * h)
+
+
+def _inner_g(t, tol):
+    # int_2^{t-1} log(s-1)/s ds, evaluated on its own at every outer node
+    return integrate(log_ratio, 2.0, t - 1.0, tol=tol).value
+
+
+def nested_lower(u, tol=1e-10):
+    """Lower density on (4, 6] through the nested double integral, the oracle
+    for the single integral that ``lower_closed`` evaluates."""
+    outer = integrate(lambda t: _inner_g(t, tol * 0.01) / t, 3.0, u - 1.0, tol=tol)
+    return 2.0 * EXP_GAMMA / u * (math.log(u - 1.0) + outer.value)
+
+
+def nested_weighted_constant(delta, k, tol=1e-9):
+    """Re-derived C(delta, k) through its double integrals: the lower term
+    pref (log top + int_3^top G(t-1)/t dt) minus half the mid-range prime
+    upper term 30 int_{t_lo}^top (1 + G(t-1)) / (t (c - t)) dt."""
+    c = 5.0 - 10.0 * delta
+    top = 4.0 - 10.0 * delta
+    pref = 6.0 / (1.0 - 2.0 * delta)
+    t_lo = c - 15.0 / k
+
+    def quad(fn, a, b):
+        return integrate(fn, a, b, tol=tol, endpoint_shift=1e-12).value
+
+    lower = pref * (math.log(top) + quad(lambda t: _inner_g(t, tol * 1e-2) / t, 3.0, top))
+    u1 = quad(lambda t: 1.0 / (t * (c - t)), t_lo, top)
+    u2 = quad(lambda t: _inner_g(t, tol * 1e-2) / (t * (c - t)), max(3.0, t_lo), top)
+    return lower - 0.5 * 30.0 * (u1 + u2)
 
 
 def exact_window_count(A, B, delta):

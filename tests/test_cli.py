@@ -178,6 +178,29 @@ class TestErrors:
         ])
         assert code == 4
 
+    def test_expsum_check_missing_parameter_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, ["expsum-check", "--check", "pairs", "--N", "10"])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: expsum check 'pairs' needs --X"]
+
+    def test_sweep_zero_step_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, [
+            "sweep", "--target", "constant", "--delta-step", "0",
+        ])
+        assert code == 2
+        assert err.splitlines() == ["error: sweep step must be positive"]
+
+    def test_unknown_branches_exit_2(self, capsys):
+        for command, params, fmt in (
+            ("sweep", {"target": "bogus"}, "json"),
+            ("expsum-check", {"check": "bogus"}, "json"),
+            ("mertens", {"z": 10}, "yaml"),
+        ):
+            config = RunConfig(command=command, parameters=params, output_format=fmt)
+            assert dispatch(config) == 2
+            assert capsys.readouterr().err.startswith("error: unknown")
+
     def test_help_mentions_formulas(self, capsys):
         parser = build_parser()
         # every subcommand's description spells out what it computes

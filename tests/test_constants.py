@@ -9,11 +9,29 @@ from nearsq.constants import (
     delta_range,
     k_min,
     sieve_lower_constant,
-    weighted_sieve_budget,
     weighted_sieve_constant,
 )
 from nearsq.errors import InvalidArgumentError, RegimeError
 from nearsq.quadrature import gauss_legendre
+
+from conftest import nested_weighted_constant
+
+
+def _single_integral_forms(delta, k, j, log=math.log):
+    """(printed, re-derived) C(delta, k) from the three single integrals, each
+    evaluated by the quadrature ``j(fn, a, b)`` with the logarithm ``log``."""
+    c = 5 - 10 * delta
+    top = c - 1
+    pref = 6 / (1 - 2 * delta)
+    ratio = top / (c - 15 / k) * (15 / k)
+
+    def jlog(arg):
+        return j(lambda s: log(s - 1) / s * log(arg(s)), 2, top - 1)
+
+    shared = log(top) + jlog(lambda s: top / (s + 1)) - log(ratio) / 2
+    printed = pref * (shared - jlog(lambda s: top * c / (s + 1) - 1) / 2)
+    rederived = pref * (shared - jlog(lambda s: top * (top - s) / (s + 1)) / 2)
+    return printed, rederived
 
 
 class TestOrderThreshold:
@@ -146,18 +164,11 @@ class TestWeightedConstant:
         assert rep.flagged
 
     def test_unsimplified_against_term_identity(self):
-        for delta, k in ((0.05, 5), (0.002, 4), (0.09, 5)):
-            lower, upper = weighted_sieve_budget(delta, k)
+        for delta, k in ((0.05, 5), (0.002, 4), (0.09, 5), (0.0121, 4)):
             rep = weighted_sieve_constant(delta, k)
-            assert lower - upper / 2 == pytest.approx(rep.value_unsimplified, abs=1e-8)
-
-    def test_budget_coefficients_positive(self):
-        lower, upper = weighted_sieve_budget(0.05, 5)
-        assert lower > 0 and upper > 0
-
-    def test_budget_empty_prime_range_at_k15(self):
-        _, upper = weighted_sieve_budget(0.05, 15)
-        assert upper == 0.0
+            assert rep.value_unsimplified == pytest.approx(
+                nested_weighted_constant(delta, k), abs=1e-9
+            )
 
     def test_small_delta_matches_zero_delta_formula(self):
         # at delta -> 0 the k = 5 constant reduces to
@@ -174,10 +185,29 @@ class TestWeightedConstant:
         assert rep.value == pytest.approx(closed, abs=1e-6)
 
     def test_adaptive_vs_gauss_rules_agree(self):
-        a = weighted_sieve_constant(0.05, 5)
-        g = weighted_sieve_constant(0.05, 5, rule="gauss-legendre-64")
-        assert a.value == pytest.approx(g.value, abs=1e-8)
-        assert a.value_unsimplified == pytest.approx(g.value_unsimplified, abs=1e-8)
+        for delta, k in ((0.05, 5), (0.0121, 4)):
+            rep = weighted_sieve_constant(delta, k)
+            printed, rederived = _single_integral_forms(delta, k, gauss_legendre)
+            assert rep.value == pytest.approx(printed, abs=1e-8)
+            assert rep.value_unsimplified == pytest.approx(rederived, abs=1e-8)
+
+    def test_criterion_1_minimiser_against_mpmath(self):
+        # delta = 0.0121 minimises the printed form on the criterion 1 grid
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            printed, rederived = _single_integral_forms(
+                mpmath.mpf("0.0121"), 4, lambda fn, a, b: mpmath.quad(fn, [a, b]), mpmath.log
+            )
+        rep = weighted_sieve_constant(0.0121, 4)
+        assert printed > mpmath.mpf("0.0023205")
+        assert abs(rep.value - printed) < 1e-10
+        assert abs(rep.value_unsimplified - rederived) < 1e-10
+
+    def test_quad_error_covers_every_integral(self):
+        tol = 1e-9
+        for delta, k in ((0.0121, 4), (0.05, 5), (0.099, 5)):
+            rep = weighted_sieve_constant(delta, k, tol=tol)
+            assert 0.0 < rep.quad_error <= 3 * tol
 
     def test_continuity_in_delta(self):
         for k in (4, 5):

@@ -15,7 +15,7 @@ from nearsq.sievefn import (
     upper_closed,
 )
 
-from conftest import midpoint_rule
+from conftest import midpoint_rule, nested_lower
 
 
 class TestClosedForms:
@@ -65,6 +65,10 @@ class TestClosedForms:
         above = lower_closed(4.0 + 1e-9)
         assert abs(below - above) <= 1e-6
         assert lower_closed(4.0) == pytest.approx(EXP_GAMMA / 2 * math.log(3), abs=1e-12)
+
+    def test_lower_single_integral_matches_nested_oracle(self):
+        for u in (4.0 + 1e-9, 4.3, 4.75, 5.0, 5.5, 5.9, 6.0):
+            assert lower_closed(u) == pytest.approx(nested_lower(u), abs=1e-12)
 
     def test_lower_continuous_at_2(self):
         assert lower_closed(2.0 + 1e-9) == pytest.approx(0.0, abs=1e-8)
