@@ -13,7 +13,6 @@ from .arith import (
     build_prime_table,
     distance_to_nearest,
     factor_signature,
-    is_almost_prime,
     near_square_roots,
     nearest_integer,
     sawtooth_psi,
@@ -48,7 +47,6 @@ from .experiments import (
     generate_subset,
     main_term_dominant,
     normalized_residual,
-    recount_float,
     sieve_decomposition,
     sifting_function,
     weighted_sum,

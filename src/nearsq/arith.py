@@ -18,6 +18,7 @@ from .errors import CoverageError, InvalidArgumentError
 
 SPF_LIMIT_DEFAULT = 10**7
 _SEGMENT = 1 << 20
+_TRIAL_CELLS = 1 << 16  # values x primes tested per trial-division block
 
 
 def as_fraction(x) -> Fraction:
@@ -67,28 +68,37 @@ class PrimeTable:
     def __len__(self) -> int:
         return len(self.primes)
 
-    def covers(self, n: int) -> bool:
-        """True when factor_signature(n) can run against this table."""
-        if n < 1:
-            return False
-        if self.spf is not None and n <= self.limit:
-            return True
-        return self.limit * self.limit >= n
+    def smallest_prime_factors(self, values) -> np.ndarray:
+        """Smallest prime factor of every entry (each >= 2) of ``values``.
 
-    def smallest_prime_factor(self, n: int) -> int:
-        if n < 2:
-            raise InvalidArgumentError("smallest prime factor needs n >= 2")
-        if self.spf is not None and n <= self.limit:
-            return int(self.spf[n])
-        if not self.covers(n):
-            raise CoverageError(f"table limit {self.limit} cannot factor {n}")
-        for p in self.primes:
-            p = int(p)
-            if p * p > n:
+        A lookup in ``spf`` when it reaches the largest entry; otherwise
+        trial division by the table primes up to its square root, in blocks
+        of primes so that small arrays do not pay one pass per prime.
+        """
+        values = np.asarray(values, dtype=np.int64)
+        if values.size == 0:
+            return values.copy()
+        if int(values.min()) < 2:
+            raise InvalidArgumentError("smallest prime factors need entries >= 2")
+        top = int(values.max())
+        if self.spf is not None and top <= self.limit:
+            return self.spf[values]
+        if self.limit * self.limit < top:
+            raise CoverageError(f"prime table limit {self.limit} cannot factor {top}")
+        primes = self.primes[: np.searchsorted(self.primes, math.isqrt(top), side="right")]
+        out = values.copy()  # entries without a prime factor up to their root are prime
+        pending = np.arange(values.size)
+        block = max(1, _TRIAL_CELLS // values.size)
+        for lo in range(0, len(primes), block):
+            ps = primes[lo : lo + block]
+            rest = values[pending]
+            hits = rest[:, None] % ps == 0
+            found = hits.any(axis=1)
+            out[pending[found]] = ps[hits[found].argmax(axis=1)]
+            pending = pending[~found & (rest > ps[-1] * ps[-1])]
+            if pending.size == 0:
                 break
-            if n % p == 0:
-                return p
-        return n
+        return out
 
 
 def _dense_table(limit: int) -> PrimeTable:
@@ -136,53 +146,45 @@ def build_prime_table(limit: int, spf_budget: int = SPF_LIMIT_DEFAULT) -> PrimeT
     return PrimeTable(limit=limit, primes=_segmented_primes(limit), spf=None)
 
 
+def prime_factor_steps(values, table: PrimeTable):
+    """Peel the prime factors off every entry of ``values``, smallest first.
+
+    Each step yields ``(index, p)``: the positions of the entries that are
+    still above 1 and the smallest prime factor of what is left of each, so
+    a prime p dividing an entry e times shows up in e consecutive steps.
+    Omega is the number of steps an entry takes part in, its smallest prime
+    is its first step, and a step whose p equals the entry's previous one is
+    a repeated factor.
+    """
+    rest = np.asarray(values, dtype=np.int64)
+    index = np.nonzero(rest > 1)[0]
+    rest = rest[index]
+    while index.size:
+        p = table.smallest_prime_factors(rest)
+        yield index, p
+        rest = rest // p
+        left = rest > 1
+        index, rest = index[left], rest[left]
+
+
 def factor_signature(n: int, table: PrimeTable) -> FactorSignature:
     """Exact Omega, nu, mu, tau of n computed against ``table``."""
     if n < 1:
         raise InvalidArgumentError("factor_signature needs n >= 1")
-    if n == 1:
-        return FactorSignature(n=1, Omega=0, nu=0, mu=1, tau=1)
-    if not table.covers(n):
-        raise CoverageError(
-            f"prime table limit {table.limit} does not cover factorization of {n}"
-        )
-
+    if n > np.iinfo(np.int64).max:
+        raise CoverageError(f"{n} exceeds the 64-bit range of the factor pass")
     exponents: list[int] = []
-    m = n
-    if table.spf is not None and n <= table.limit:
-        while m > 1:
-            p = int(table.spf[m])
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            exponents.append(e)
-    else:
-        for p in table.primes:
-            p = int(p)
-            if p * p > m:
-                break
-            if m % p == 0:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                exponents.append(e)
-        if m > 1:
+    prev = 0
+    for _, p in prime_factor_steps([n], table):
+        if p[0] == prev:
+            exponents[-1] += 1
+        else:
             exponents.append(1)
-
-    omega_total = sum(exponents)
+            prev = p[0]
     nu = len(exponents)
     mu = 0 if any(e > 1 for e in exponents) else (-1) ** nu
     tau = math.prod(e + 1 for e in exponents)
-    return FactorSignature(n=n, Omega=omega_total, nu=nu, mu=mu, tau=tau)
-
-
-def is_almost_prime(n: int, k: int, table: PrimeTable) -> bool:
-    """True when n has at most k prime factors counted with multiplicity."""
-    if k < 0:
-        raise InvalidArgumentError("almost-prime order k must be nonnegative")
-    return factor_signature(n, table).Omega <= k
+    return FactorSignature(n=n, Omega=sum(exponents), nu=nu, mu=mu, tau=tau)
 
 
 def sawtooth_psi(t: float) -> float:

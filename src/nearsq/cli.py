@@ -293,7 +293,7 @@ def _cmd_experiment(config: RunConfig) -> dict:
         "X": float(dec.X),
         "residual": residual,
         "main_term_dominant": main_term_dominant(A, B),
-        "boundary_margin": nsc.boundary_margin,
+        "boundary_margin": nsc.boundary_margin if nsc.pair_total else None,
         "exact_fallbacks": nsc.exact_fallbacks,
         "sifted": sifted,
         "almost_prime": {"k": k, "multiset": almost.multiset_count, "distinct": almost.distinct_count},
@@ -310,7 +310,7 @@ def _sweep_rows(config: RunConfig, skip: int = 0) -> tuple[list[str], list[list]
     p = config.parameters
     target = p.get("target", "constant")
     if target == "constant":
-        k = int(p["k"])
+        k = int(p.get("k", 4))
         start = float(p.get("delta_start", 1e-4))
         end = float(p.get("delta_end", 0.0121))
         step = float(p.get("delta_step", 1e-4))
@@ -409,26 +409,31 @@ def _cmd_sweep(config: RunConfig) -> str:
     return csv_text(header, rows)
 
 
-# subcommand -> handler; a handler returns a report dict, or CSV text (sweep)
+# subcommand -> (handler, parameters it cannot run without); a handler returns
+# a report dict, or CSV text (sweep).  expsum-check checks its per-check
+# parameters itself (_EXPSUM_REQUIRED).
 COMMANDS = {
-    "sieve-fn": _cmd_sieve_fn,
-    "mertens": _cmd_mertens,
-    "constant": _cmd_constant,
-    "threshold": _cmd_threshold,
-    "psi-approx": _cmd_psi_approx,
-    "expsum-check": _cmd_expsum_check,
-    "experiment": _cmd_experiment,
-    "sweep": _cmd_sweep,
+    "sieve-fn": (_cmd_sieve_fn, ()),
+    "mertens": (_cmd_mertens, ("z",)),
+    "constant": (_cmd_constant, ("k", "delta")),
+    "threshold": (_cmd_threshold, ()),
+    "psi-approx": (_cmd_psi_approx, ("H",)),
+    "expsum-check": (_cmd_expsum_check, ()),
+    "experiment": (_cmd_experiment, ("N",)),
+    "sweep": (_cmd_sweep, ()),
 }
 
 
 def dispatch(config: RunConfig) -> int:
     """Run one command and emit exactly one report; returns the exit code."""
-    handler = COMMANDS.get(config.command)
-    if handler is None:
+    if config.command not in COMMANDS:
         sys.stderr.write(f"error: unknown command {config.command!r}\n")
         return EXIT_USAGE
+    handler, required = COMMANDS[config.command]
     try:
+        missing = [f"--{name}" for name in required if config.parameters.get(name) is None]
+        if missing:
+            raise InvalidArgumentError(f"{config.command} needs {', '.join(missing)}")
         out = handler(config)
         text = out if isinstance(out, str) else _format_report(out, config)
         _emit(text, config)

@@ -139,7 +139,6 @@ class ConstantReport:
     sieve_argument: float
     f_at_argument: float
     constant_value: float
-    quadrature_error: float
     reconstructed: bool = True
 
 
@@ -154,7 +153,6 @@ def sieve_lower_constant(params: RegimeParams) -> ConstantReport:
         )
     arg_f = float(argument)
     f_val = lower_closed(arg_f)
-    quad_err = 0.0 if arg_f <= 4.0 else 1e-10  # elementary branch below 4
     constant = 2.0 * (k + 1) * math.exp(-EULER_GAMMA) * f_val
     return ConstantReport(
         k=k,
@@ -162,7 +160,6 @@ def sieve_lower_constant(params: RegimeParams) -> ConstantReport:
         sieve_argument=arg_f,
         f_at_argument=f_val,
         constant_value=constant,
-        quadrature_error=quad_err,
     )
 
 

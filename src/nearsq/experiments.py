@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import PrimeTable, as_fraction, factor_signature, near_square_roots
-from .errors import BudgetError, CoverageError, InvalidArgumentError
+from .arith import PrimeTable, as_fraction, near_square_roots, prime_factor_steps
+from .errors import BudgetError, InvalidArgumentError
 
 PAIR_BUDGET_DEFAULT = 10**9
 _PROVENANCES = ("full", "bernoulli", "explicit", "adversarial-spread")
@@ -233,21 +233,6 @@ def count_near_squares(
     return out
 
 
-def recount_float(A: IntervalSubset, B: IntervalSubset, delta) -> int:
-    """Naive floating-point recount, the cross-check for well-separated instances."""
-    df = float(as_fraction(delta))
-    total = 0
-    for a in A.elements:
-        t = np.sqrt((int(a) * B.elements).astype(np.float64))
-        if df <= 0.5:
-            total += int(np.count_nonzero(np.abs(t - np.rint(t)) < df))
-        else:
-            frac = t - np.floor(t)
-            total += int(np.count_nonzero(frac < df))
-            total += int(np.count_nonzero(1.0 - frac < df))
-    return total
-
-
 @dataclass(frozen=True)
 class SieveDecomposition:
     """Divisibility counts |A_d| = X/d + r(d) with the remainders forced exactly."""
@@ -256,7 +241,10 @@ class SieveDecomposition:
     counts: dict[int, int]
     remainders: dict[int, Fraction]
 
-    def scaled_remainder_max(self, d_max: int | None = None) -> float:
+    def scaled_remainder_max(self, d_max: int | None = None) -> float | None:
+        """max |d r(d) / X| over d <= d_max; None when X = 0 (an empty set)."""
+        if self.X == 0:
+            return None
         ds = [d for d in self.counts if d_max is None or d <= d_max]
         return max(float(abs(d * self.remainders[d] / self.X)) for d in ds)
 
@@ -293,20 +281,11 @@ def sifting_function(nsc: NearSquareCount, z: float, table: PrimeTable) -> int:
     if z < 2:
         raise InvalidArgumentError("sifting level z must be at least 2")
     values, mults = _distinct_values(nsc)
-    if len(values) == 0:
-        return 0
-    top = int(values[-1])
-    if table.spf is not None and top <= table.limit:
-        spf = table.spf[values]
-        survive = spf >= z
-        survive |= values == 1
-        return int(mults[survive].sum())
-    total = 0
-    for l, m in zip(values, mults):
-        l = int(l)
-        if l == 1 or table.smallest_prime_factor(l) >= z:
-            total += int(m)
-    return total
+    survive = np.ones(len(values), dtype=bool)  # l = 1 has no prime factor
+    for index, p in prime_factor_steps(values, table):
+        survive[index] = p >= z
+        break  # the first step holds the smallest prime factors
+    return int(mults[survive].sum())
 
 
 @dataclass(frozen=True)
@@ -323,13 +302,23 @@ def almost_prime_count(nsc: NearSquareCount, k: int, table: PrimeTable) -> Almos
     if k < 0:
         raise InvalidArgumentError("almost-prime order k must be nonnegative")
     values, mults = _distinct_values(nsc)
-    total = 0
-    distinct = 0
-    for l, m in zip(values, mults):
-        if factor_signature(int(l), table).Omega <= k:
-            total += int(m)
-            distinct += 1
-    return AlmostPrimeCounts(k=k, multiset_count=total, distinct_count=distinct)
+    omega = np.zeros(len(values), dtype=np.int64)
+    for index, _ in prime_factor_steps(values, table):
+        omega[index] += 1
+    keep = omega <= k
+    return AlmostPrimeCounts(
+        k=k, multiset_count=int(mults[keep].sum()), distinct_count=int(np.count_nonzero(keep))
+    )
+
+
+def _least_root(N: int, e: int) -> int:
+    """Smallest integer p >= 1 with p**e >= N, so p**e >= N exactly when p >= it."""
+    p = max(1, round(N ** (1.0 / e)))
+    while p**e < N:
+        p += 1
+    while p > 1 and (p - 1) ** e >= N:
+        p -= 1
+    return p
 
 
 def weighted_sum(
@@ -342,40 +331,26 @@ def weighted_sum(
 
     Each qualifying entry contributes 1 minus half the number of its
     distinct prime factors p with N^(1/15) <= p < N^(1/k); the prime-range
-    comparisons are done exactly through p**15 >= N and p**k < N.  The
-    result is an exact half-integer rational.
+    comparisons are done exactly through p**15 >= N and p**k < N, as
+    integer thresholds on p.  The result is an exact half-integer rational.
     """
     if not 4 <= k <= 14:
         raise InvalidArgumentError("weighted sum order k must lie in 4..14")
     N = nsc.base_N
+    lo, hi = _least_root(N, 15), _least_root(N, k)  # mid-range: lo <= p < hi
     values, mults = _distinct_values(nsc)
-    doubled = 0
-    for l, m in zip(values, mults):
-        l = int(l)
-        if l == 1:
-            doubled += 2 * int(m)
-            continue
-        if not table.covers(l):
-            raise CoverageError(f"prime table cannot factor rounded value {l}")
-        primes = []
-        squarefree = True
-        rest = l
-        while rest > 1:
-            p = table.smallest_prime_factor(rest)
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            if e > 1:
-                squarefree = False
-            primes.append(p)
-        if primes[0] ** 15 < N:
-            continue  # shares a factor with the small-prime product
-        if squarefree_only and not squarefree:
-            continue
-        mid = sum(1 for p in primes if p**15 >= N and p**k < N)
-        doubled += int(m) * (2 - mid)
-    return Fraction(doubled, 2)
+    keep = np.ones(len(values), dtype=bool)  # l = 1 weighs 1
+    mid = np.zeros(len(values), dtype=np.int64)
+    prev = np.zeros(len(values), dtype=np.int64)
+    for step, (index, p) in enumerate(prime_factor_steps(values, table)):
+        if step == 0:
+            keep[index] = p >= lo  # shares no factor with the small-prime product
+        repeat = p == prev[index]
+        if squarefree_only:
+            keep[index[repeat]] = False
+        mid[index] += ~repeat & (p >= lo) & (p < hi)
+        prev[index] = p
+    return Fraction(int((mults[keep] * (2 - mid[keep])).sum()), 2)
 
 
 def normalized_residual(
@@ -384,12 +359,15 @@ def normalized_residual(
     delta,
     nsc: NearSquareCount | None = None,
     max_pairs: int = PAIR_BUDGET_DEFAULT,
-) -> float:
+) -> float | None:
     """(H - 2*delta*|A|*|B|) / (N * (|A||B|)^(1/4) * log(N)^(3/2)).
 
     The numerator is exact; the asymptotic main-term statement asserts this
-    ratio stays bounded once |A||B| clears N^(4/3).
+    ratio stays bounded once |A||B| clears N^(4/3).  It is undefined, and
+    None is returned, when A or B is empty.
     """
+    if len(A) == 0 or len(B) == 0:
+        return None
     if nsc is None:
         nsc = count_near_squares(A, B, delta, max_pairs=max_pairs)
     X = 2 * nsc.delta * len(A) * len(B)

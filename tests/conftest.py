@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from nearsq.arith import build_prime_table
+from nearsq.arith import as_fraction, build_prime_table
 from nearsq.quadrature import integrate
 from nearsq.sievefn import EXP_GAMMA, build_sieve_table, log_ratio
 
@@ -25,8 +26,6 @@ def sieve_table_10():
 
 def midpoint_rule(fn, a, b, n=10**6):
     """Plain midpoint rule, the independent quadrature oracle."""
-    import numpy as np
-
     h = (b - a) / n
     xs = a + (np.arange(n) + 0.5) * h
     return float(np.sum(fn(xs)) * h)
@@ -62,14 +61,27 @@ def nested_weighted_constant(delta, k, tol=1e-9):
     return lower - 0.5 * 30.0 * (u1 + u2)
 
 
+def recount_float(A, B, delta):
+    """Naive floating-point recount, the cross-check for well-separated instances."""
+    df = float(as_fraction(delta))
+    total = 0
+    for a in A.elements:
+        t = np.sqrt((int(a) * B.elements).astype(np.float64))
+        if df <= 0.5:
+            total += int(np.count_nonzero(np.abs(t - np.rint(t)) < df))
+        else:
+            frac = t - np.floor(t)
+            total += int(np.count_nonzero(frac < df))
+            total += int(np.count_nonzero(1.0 - frac < df))
+    return total
+
+
 def exact_window_count(A, B, delta):
     """Independent exact oracle for the near-square pair count.
 
     Pure python, Fraction-free: decides |sqrt(ab) - l| < num/den by squaring
     with cleared denominators, scanning every integer candidate near sqrt(ab).
     """
-    from nearsq.arith import as_fraction
-
     fr = as_fraction(delta)
     num, den = fr.numerator, fr.denominator
     total = 0

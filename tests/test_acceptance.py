@@ -20,7 +20,6 @@ from nearsq.experiments import (
     count_near_squares,
     generate_subset,
     normalized_residual,
-    recount_float,
     sieve_decomposition,
     sifting_function,
     weighted_sum,
@@ -32,6 +31,8 @@ from nearsq.expsum import (
     quadruple_count,
 )
 from nearsq.sievefn import EXP_GAMMA, build_sieve_table, lower_closed, upper_closed
+
+from conftest import recount_float
 
 
 def verdict(criterion, ok, detail):

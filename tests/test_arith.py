@@ -11,7 +11,6 @@ from nearsq.arith import (
     build_prime_table,
     distance_to_nearest,
     factor_signature,
-    is_almost_prime,
     near_square_roots,
     nearest_integer,
     sawtooth_psi,
@@ -85,6 +84,17 @@ class TestPrimeTable:
                 assert n % q != 0
 
 
+    def test_trial_division_matches_spf(self, table_100k):
+        values = np.arange(2, 100_001)
+        trial = build_prime_table(100_000, spf_budget=1000)
+        assert np.array_equal(trial.smallest_prime_factors(values), table_100k.spf[2:])
+        assert trial.smallest_prime_factors([]).size == 0
+        with pytest.raises(InvalidArgumentError):
+            trial.smallest_prime_factors([1, 4])
+        with pytest.raises(CoverageError):
+            trial.smallest_prime_factors([100_003 * 100_019])
+
+
 class TestFactorSignature:
     def test_twelve(self, table_100k):
         sig = factor_signature(12, table_100k)
@@ -112,6 +122,8 @@ class TestFactorSignature:
         table = build_prime_table(10)
         with pytest.raises(CoverageError):
             factor_signature(10_007 * 10_009, table)
+        with pytest.raises(CoverageError):
+            factor_signature(2**64 + 1, table)
 
     @given(st.integers(2, 2000), st.integers(2, 2000))
     @settings(max_examples=60, deadline=None)
@@ -128,9 +140,9 @@ class TestFactorSignature:
 
 class TestAlmostPrime:
     def test_examples(self, table_100k):
-        assert is_almost_prime(64, 6, table_100k)
-        assert not is_almost_prime(64, 5, table_100k)
-        assert is_almost_prime(2 * 3 * 5 * 7 * 11 * 13, 6, table_100k)
+        assert factor_signature(64, table_100k).Omega <= 6
+        assert not factor_signature(64, table_100k).Omega <= 5
+        assert factor_signature(2 * 3 * 5 * 7 * 11 * 13, table_100k).Omega <= 6
 
 
 class TestSawtooth:

@@ -184,6 +184,39 @@ class TestErrors:
         assert out == ""
         assert err.splitlines() == ["error: expsum check 'pairs' needs --X"]
 
+    @pytest.mark.parametrize("command,code,err", [
+        ("sieve-fn", 0, []),
+        ("mertens", 2, ["error: mertens needs --z"]),
+        ("constant", 2, ["error: constant needs --k, --delta"]),
+        ("threshold", 0, []),
+        ("psi-approx", 2, ["error: psi-approx needs --H"]),
+        ("expsum-check", 2, ["error: expsum check 'pairs' needs --N, --X"]),
+        ("experiment", 2, ["error: experiment needs --N"]),
+        ("sweep", 0, []),
+    ])
+    def test_empty_parameters_exit_cleanly(self, capsys, command, code, err):
+        # a run description without parameters, as a --config file that
+        # switches the command can produce: a report or one error line
+        assert dispatch(RunConfig(command=command)) == code
+        out = capsys.readouterr()
+        assert out.err.splitlines() == err
+        assert (out.out == "") == (code != 0)
+
+    def test_empty_subset_reports_null_residual(self, capsys):
+        code, out, err = run_cli(capsys, ["experiment", "--N", "50", "--density", "0.001"])
+        assert code == 0
+        assert err == ""
+        doc = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
+        assert doc["sizes"] == {"A": 0, "B": 0}
+        assert doc["residual"] is None
+
+    def test_empty_subset_leaves_residual_cell_empty(self, capsys):
+        code, out, _ = run_cli(capsys, [
+            "sweep", "--target", "residual", "--N-list", "50", "--density", "0.001",
+        ])
+        assert code == 0
+        assert out.splitlines()[1] == "50,0,0,0,0,"
+
     def test_sweep_zero_step_exits_2(self, capsys):
         code, _, err = run_cli(capsys, [
             "sweep", "--target", "constant", "--delta-step", "0",

@@ -8,20 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearsq.arith import as_fraction, build_prime_table
-from nearsq.errors import BudgetError, InvalidArgumentError
+from nearsq.errors import BudgetError, CoverageError, InvalidArgumentError
 from nearsq.experiments import (
     almost_prime_count,
     count_near_squares,
     generate_subset,
     main_term_dominant,
     normalized_residual,
-    recount_float,
     sieve_decomposition,
     sifting_function,
     weighted_sum,
 )
 
-from conftest import exact_window_count
+from conftest import exact_window_count, recount_float
 
 
 def random_instance(prng, n_max=220):
@@ -33,6 +32,46 @@ def random_instance(prng, n_max=220):
     A = generate_subset(N, "explicit", elements=a_els)
     B = generate_subset(N, "explicit", elements=b_els)
     return A, B
+
+
+def trial_prime_factors(n):
+    """Independent oracle: the prime factors of n with multiplicity, by
+    plain trial division by every integer."""
+    out = []
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            n //= d
+            out.append(d)
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def weighted_oracle(rounded_values, N, k, squarefree_only=False):
+    """Direct weighted sum over a multiset given as (l, multiplicity) pairs."""
+    expect = Fraction(0)
+    for l, m in rounded_values:
+        factors = trial_prime_factors(l)
+        primes = sorted(set(factors))
+        if any(p**15 < N for p in primes[:1]):
+            continue
+        if squarefree_only and len(primes) < len(factors):
+            continue
+        mid = sum(1 for p in primes if p**15 >= N and p**k < N)
+        expect += m * (Fraction(1) - Fraction(mid, 2))
+    return expect
+
+
+def roots_count(N, roots):
+    """A count whose multiset of rounded roots is ``roots`` (each in [N - 1, 2N + 2])."""
+    nsc = count_near_squares(
+        generate_subset(N, "explicit", elements=[]), generate_subset(N, "explicit", elements=[]),
+        Fraction(1, 2),
+    )
+    np.add.at(nsc.multiplicities, np.asarray(roots, dtype=np.int64) - nsc.l_offset, 1)
+    return nsc
 
 
 class TestGenerateSubset:
@@ -246,16 +285,7 @@ class TestAlmostPrimeCount:
             t = np.sqrt((int(a) * B.elements).astype(float))
             near = np.abs(t - np.rint(t)) < 0.01
             for l in np.rint(t[near]).astype(int):
-                m, omega = int(l), 0
-                d = 2
-                while d * d <= m:
-                    while m % d == 0:
-                        m //= d
-                        omega += 1
-                    d += 1
-                if m > 1:
-                    omega += 1
-                if omega <= 6:
+                if len(trial_prime_factors(int(l))) <= 6:
                     total += 1
         assert ap.multiset_count == total
 
@@ -282,25 +312,7 @@ class TestWeightedSum:
         N = 1500
         for k in (4, 5):
             got = weighted_sum(nsc, k, table_22k)
-            # direct oracle over the stored multiset
-            expect = Fraction(0)
-            for l, m in nsc.rounded_values():
-                sig_primes = []
-                rest = l
-                d = 2
-                while d * d <= rest:
-                    if rest % d == 0:
-                        sig_primes.append(d)
-                        while rest % d == 0:
-                            rest //= d
-                    d += 1
-                if rest > 1:
-                    sig_primes.append(rest)
-                if any(p**15 < N for p in sig_primes[:1]):
-                    continue
-                mid = sum(1 for p in sig_primes if p**15 >= N and p**k < N)
-                expect += m * (Fraction(1) - Fraction(mid, 2))
-            assert got == expect
+            assert got == weighted_oracle(nsc.rounded_values(), N, k)
 
     def test_squarefree_chain(self, table_22k):
         A = generate_subset(1200, "bernoulli", density=0.9, seed=41)
@@ -318,6 +330,47 @@ class TestWeightedSum:
             weighted_sum(nsc, 3, table_22k)
 
 
+class TestFactorPass:
+    """Both lookups behind PrimeTable.smallest_prime_factors give one answer."""
+
+    @given(
+        st.integers(2, 20_000),
+        st.lists(st.floats(0.0, 1.0), max_size=60),
+        st.integers(4, 14),
+        st.floats(2.0, 200.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_spf_and_trial_division_agree_with_oracles(self, N, spots, k, z):
+        roots = [N + int(x * (N + 1)) for x in spots]  # in [N, 2N + 1]
+        nsc = roots_count(N, roots)
+        L = 2 * N + 2
+        dense, trial = build_prime_table(L), build_prime_table(L, spf_budget=L // 100)
+        assert dense.spf is not None and trial.spf is None
+        values = nsc.rounded_values()
+        factors = {l: trial_prime_factors(l) for l, _ in values}
+        sifted = sum(m for l, m in values if factors[l][0] >= z)
+        almost = [(l, m) for l, m in values if len(factors[l]) <= k]
+        for table in (dense, trial):
+            assert sifting_function(nsc, z, table) == sifted
+            ap = almost_prime_count(nsc, k, table)
+            assert ap.multiset_count == sum(m for _, m in almost)
+            assert ap.distinct_count == len(almost)
+            for squarefree_only in (False, True):
+                assert weighted_sum(nsc, k, table, squarefree_only) == weighted_oracle(
+                    values, N, k, squarefree_only
+                )
+
+    def test_coverage_error_beyond_limit_squared(self):
+        nsc = roots_count(100, [101])  # 101 > 10**2
+        for table in (build_prime_table(10), build_prime_table(10, spf_budget=5)):
+            with pytest.raises(CoverageError):
+                sifting_function(nsc, 3.0, table)
+            with pytest.raises(CoverageError):
+                almost_prime_count(nsc, 6, table)
+            with pytest.raises(CoverageError):
+                weighted_sum(nsc, 4, table)
+
+
 class TestResidual:
     def test_zero_when_count_matches_main_term(self):
         A = generate_subset(120, "full")
@@ -329,6 +382,12 @@ class TestResidual:
         A = generate_subset(1000, "full")
         r = normalized_residual(A, A, Fraction(1, 20))
         assert abs(r) <= 1.0
+
+    def test_undefined_for_empty_set(self):
+        A = generate_subset(100, "full")
+        empty = generate_subset(100, "explicit", elements=[])
+        assert normalized_residual(A, empty, Fraction(1, 20)) is None
+        assert normalized_residual(empty, A, Fraction(1, 20)) is None
 
     def test_main_term_regime_flag(self):
         A = generate_subset(1000, "full")
