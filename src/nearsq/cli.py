@@ -335,6 +335,10 @@ def _sweep_rows(config: RunConfig, skip: int = 0) -> tuple[list[str], list[list]
         header = ["N", "seed", "size_A", "size_B", "H", "residual"]
         args = [(n, s, density, str(delta)) for n in n_list for s in seeds]
         fn = _residual_row
+    elif target == "remainder":
+        header = ["N", "delta", "H", "X", "scaled_remainder_max"]
+        args = [int(x) for x in p.get("N_list", [1000])]
+        fn = _remainder_row
     elif target == "quadruples":
         sizes = [int(x) for x in p.get("sizes", [4, 8, 16, 32])]
         theta = float(p.get("theta", 1e-6))
@@ -371,6 +375,15 @@ def _residual_row(args) -> list:
     nsc = count_near_squares(A, B, as_fraction(delta))
     res = normalized_residual(A, B, as_fraction(delta), nsc=nsc)
     return [n, seed, len(A), len(B), nsc.H_count, res]
+
+
+def _remainder_row(n: int) -> list:
+    # the decay statistic of acceptance criterion 9: full sets, window N^-0.05
+    delta = float(n) ** -0.05
+    A = generate_subset(n, "full")
+    nsc = count_near_squares(A, A, delta, max_pairs=4 * 10**10)
+    dec = sieve_decomposition(nsc, len(A), len(A), 50)
+    return [n, delta, nsc.H_count, float(dec.X), dec.scaled_remainder_max()]
 
 
 def _quadruple_row(args) -> list:
@@ -568,10 +581,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="grid sweeps emitting one CSV row per point",
         description="Deterministic grid sweeps: constant (C(delta,k) over a "
         "delta grid), residual (normalized residuals over N and seeds), "
-        "quadruples and bilinear (doubling-size bound-ratio records).",
+        "remainder (max over d <= 50 of d |r(d)| / X for full sets with "
+        "window N^-0.05, over N), quadruples and bilinear (doubling-size "
+        "bound-ratio records).",
     )
-    s.add_argument("--target", choices=("constant", "residual", "quadruples", "bilinear"),
-                   required=True)
+    s.add_argument("--target", required=True,
+                   choices=("constant", "residual", "remainder", "quadruples", "bilinear"))
     s.add_argument("--k", type=int, default=4)
     s.add_argument("--delta-start", dest="delta_start", type=float, default=1e-4)
     s.add_argument("--delta-end", dest="delta_end", type=float, default=0.0121)

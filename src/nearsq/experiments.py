@@ -96,9 +96,10 @@ class NearSquareCount:
     ``multiplicities[l - l_offset]`` is the number of (a, b, l) incidences
     with |sqrt(a*b) - l| < delta; for delta <= 1/2 each pair contributes at
     most one l, so H_count is the number of qualifying pairs.
-    ``boundary_margin`` is the smallest float distance observed between a
-    pair and the window edge, which gates comparisons against naive
-    floating-point recounts.
+    ``boundary_margin`` is the smallest float distance from sqrt(a*b) to the
+    nearest window edge l +- delta of any integer l, which gates comparisons
+    against naive floating-point recounts.  ``exact_fallbacks`` counts the
+    pairs within the float error margin of an edge, decided in integers.
     """
 
     delta: Fraction
@@ -180,46 +181,35 @@ def count_near_squares(
     b_arr = B.elements
     min_margin = math.inf
     fallbacks = 0
-    half_window = df <= 0.5
+    # Only the nearest root l and its far neighbour l + sign(s) can lie in the
+    # window.  For delta <= 1/2 the far one never matters: d <= 1/2 gives
+    # (1 - d) - delta >= |d - delta|, so its gap can neither be negative, nor
+    # fall within the margin when the near gap does not, nor be the smaller.
+    two_sided = df > 0.5
 
     for a in A.elements:
-        prod = int(a) * b_arr
-        t = np.sqrt(prod.astype(np.float64))
-        if half_window:
-            l = np.rint(t)
-            gap = np.abs(t - l) - df
-            row_min = float(np.min(np.abs(gap)))
-            if row_min < min_margin:
-                min_margin = row_min
-            unsure = np.abs(gap) <= margin
-            sure_in = gap < -margin
-            lv = l[sure_in].astype(np.int64)
-            if lv.size:
-                lmin, lmax = int(lv[0]), int(lv[-1])
-                counts[lmin - off : lmax - off + 1] += np.bincount(
-                    lv - lmin, minlength=lmax - lmin + 1
-                )
-        else:
-            fl = np.floor(t)
-            frac = t - fl
-            gap_low = frac - df
-            gap_high = (1.0 - frac) - df
-            row_min = float(min(np.min(np.abs(gap_low)), np.min(np.abs(gap_high))))
-            if row_min < min_margin:
-                min_margin = row_min
-            unsure = (
-                (frac <= margin)
-                | (frac >= 1.0 - margin)
-                | (np.abs(gap_low) <= margin)
-                | (np.abs(gap_high) <= margin)
-            )
-            for mask, cand in ((gap_low < -margin, fl), (gap_high < -margin, fl + 1.0)):
-                lv = cand[mask & ~unsure].astype(np.int64)
-                if lv.size:
-                    lmin, lmax = int(lv[0]), int(lv[-1])
-                    counts[lmin - off : lmax - off + 1] += np.bincount(
-                        lv - lmin, minlength=lmax - lmin + 1
-                    )
+        t = np.sqrt((int(a) * b_arr).astype(np.float64))
+        l = np.rint(t)
+        s = t - l
+        d = np.abs(s)
+        near = d - df
+        dist = np.abs(near)
+        unsure = dist <= margin
+        row_min = float(dist.min())
+        # Correctly rounded sqrt is exact on perfect squares.  Otherwise s can
+        # take the wrong sign only when d is below the float error, and then
+        # the far gap (1 - d) - delta lies within the margin whenever it could
+        # be negative: such pairs are unsure, and the wrong far root is never
+        # counted.
+        if two_sided:
+            far = (1.0 - d) - df
+            dist = np.abs(far)
+            unsure |= dist <= margin
+            row_min = min(row_min, float(dist.min()))
+            hit = (far < -margin) & ~unsure
+            np.add.at(counts, (l[hit] + np.sign(s[hit])).astype(np.int64) - off, 1)
+        np.add.at(counts, l[(near < -margin) & ~unsure].astype(np.int64) - off, 1)
+        min_margin = min(min_margin, row_min)
         if np.any(unsure):
             for b in b_arr[unsure]:
                 fallbacks += 1
@@ -277,9 +267,9 @@ def _distinct_values(nsc: NearSquareCount) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sifting_function(nsc: NearSquareCount, z: float, table: PrimeTable) -> int:
-    """Number of multiset entries with no prime factor below z."""
-    if z < 2:
-        raise InvalidArgumentError("sifting level z must be at least 2")
+    """Number of multiset entries with no prime factor below z (all of them for z < 2)."""
+    if not (math.isfinite(z) and z > 0):
+        raise InvalidArgumentError("sifting level z must be positive and finite")
     values, mults = _distinct_values(nsc)
     survive = np.ones(len(values), dtype=bool)  # l = 1 has no prime factor
     for index, p in prime_factor_steps(values, table):

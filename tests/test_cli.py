@@ -4,6 +4,7 @@ import os
 import pytest
 
 from nearsq.cli import RunConfig, build_parser, dispatch, main
+from nearsq.experiments import count_near_squares, generate_subset, sieve_decomposition
 
 
 def run_cli(capsys, argv):
@@ -113,6 +114,21 @@ class TestSweep:
         assert lines[0] == "N,seed,size_A,size_B,H,residual"
         assert len(lines) == 5
 
+    def test_remainder_sweep(self, capsys):
+        code, out, _ = run_cli(capsys, ["sweep", "--target", "remainder", "--N-list", "100,300"])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "N,delta,H,X,scaled_remainder_max"
+        assert len(lines) == 3
+        n, delta, H, X, stat = lines[2].split(",")
+        A = generate_subset(300, "full")
+        nsc = count_near_squares(A, A, 300.0 ** -0.05)
+        dec = sieve_decomposition(nsc, 300, 300, 50)
+        assert (int(n), int(H)) == (300, nsc.H_count)
+        assert float(delta) == pytest.approx(300.0 ** -0.05, rel=1e-11)
+        assert float(X) == pytest.approx(float(dec.X), rel=1e-11)
+        assert float(stat) == pytest.approx(dec.scaled_remainder_max(), rel=1e-11)
+
     def test_checkpoint_resume(self, capsys, tmp_path):
         ck = tmp_path / "sweep.ck"
         argv = [
@@ -216,6 +232,14 @@ class TestErrors:
         ])
         assert code == 0
         assert out.splitlines()[1] == "50,0,0,0,0,"
+
+    def test_sifting_level_below_two_sifts_nothing(self, capsys):
+        # z = (3N)^(1/(k+1)) is about 1.46 here: no prime lies below it
+        code, out, err = run_cli(capsys, ["experiment", "--N", "100", "--k", "14"])
+        assert code == 0
+        assert err == ""
+        doc = json.loads(out)
+        assert doc["sifted"] == doc["H"]
 
     def test_sweep_zero_step_exits_2(self, capsys):
         code, _, err = run_cli(capsys, [

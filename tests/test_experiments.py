@@ -140,14 +140,18 @@ class TestCountNearSquares:
 
     def test_vanishing_window_keeps_square_products_only(self):
         A = generate_subset(50, "full")
-        nsc = count_near_squares(A, A, Fraction(1, 10**12))
         expected = sum(
             1
             for a in A.elements
             for b in A.elements
             if math.isqrt(int(a) * int(b)) ** 2 == int(a) * int(b)
         )
-        assert nsc.H_count == expected
+        # the float margin is about 3e-14 here: a window below it sends every
+        # square product to the integer fallback
+        for delta, fallbacks in ((Fraction(1, 10**12), 0), (Fraction(1, 10**14), expected)):
+            nsc = count_near_squares(A, A, delta)
+            assert nsc.H_count == expected
+            assert nsc.exact_fallbacks == fallbacks
 
     def test_symmetry(self):
         prng = random.Random(3)
@@ -188,6 +192,47 @@ class TestCountNearSquares:
             count_near_squares(
                 generate_subset(100, "full"), generate_subset(101, "full"), 0.5
             )
+
+    @given(st.integers(0, 10**4))
+    @settings(max_examples=25, deadline=None)
+    def test_windows_at_the_float_margin(self, seed):
+        # windows next to 1/2, where the far neighbour starts to count, next
+        # to 1, and a few orders above the float margin
+        prng = random.Random(seed)
+        A, B = random_instance(prng, n_max=150)
+        tiny = Fraction(1, 2**50)
+        for delta in (Fraction(1, 2) - tiny, Fraction(1, 2), Fraction(1, 2) + tiny,
+                      Fraction(2, 3), 1 - tiny, Fraction(1, 10**12)):
+            nsc = count_near_squares(A, B, delta)
+            H, mult = exact_window_count(A, B, delta)
+            assert nsc.H_count == H
+            assert dict(nsc.rounded_values()) == mult
+
+    def test_perfect_squares_decided_in_float_beyond_half(self):
+        # a correctly rounded sqrt is exact on perfect squares, so they need
+        # no integer fallback when delta > 1/2
+        A = generate_subset(200, "full")
+        nsc = count_near_squares(A, A, Fraction(2, 3))
+        H, mult = exact_window_count(A, A, Fraction(2, 3))
+        assert nsc.exact_fallbacks == 0
+        assert nsc.H_count == H
+        assert dict(nsc.rounded_values()) == mult
+
+    def test_boundary_margin_is_distance_to_nearest_edge(self):
+        prng = random.Random(5)
+        for _ in range(3):
+            A, B = random_instance(prng, n_max=137)
+            for delta in (Fraction(1, 7), 0.3, Fraction(1, 2), Fraction(2, 3), 0.77):
+                df = float(delta)
+                expect = math.inf
+                for a in A.elements:
+                    for b in B.elements:
+                        t = math.sqrt(int(a) * int(b))
+                        f = math.floor(t)
+                        for l in range(f - 1, f + 3):
+                            expect = min(expect, abs(t - (l - df)), abs(t - (l + df)))
+                got = count_near_squares(A, B, delta).boundary_margin
+                assert abs(got - expect) <= 1e-12
 
     def test_recount_matches_when_margin_clears(self):
         A = generate_subset(2000, "bernoulli", density=0.8, seed=11)
@@ -237,6 +282,15 @@ class TestSifting:
         A = generate_subset(800, "bernoulli", density=0.5, seed=4)
         nsc = count_near_squares(A, A, Fraction(1, 11))
         assert sifting_function(nsc, 2.0, table_22k) == nsc.H_count
+
+    def test_level_below_two_sifts_nothing(self, table_22k):
+        A = generate_subset(300, "bernoulli", density=0.5, seed=2)
+        nsc = count_near_squares(A, A, Fraction(1, 11))
+        for z in (1e-9, 0.5, 1.0, 1.46, 1.999):
+            assert sifting_function(nsc, z, table_22k) == nsc.H_count
+        for z in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(InvalidArgumentError):
+                sifting_function(nsc, z, table_22k)
 
     def test_small_factor_excluded(self, table_22k):
         # multiset {15}: smallest prime factor 3 < 4, sifted out at z = 4
