@@ -7,12 +7,10 @@ explicit constants that govern the achievable almost-prime order.
 """
 
 from .arith import (
-    FactorSignature,
     PrimeTable,
     as_fraction,
     build_prime_table,
     distance_to_nearest,
-    factor_signature,
     near_square_roots,
     nearest_integer,
     sawtooth_psi,

@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: prime tables, factor signatures, sawtooth helpers.
+"""Exact integer arithmetic: prime tables, prime factor steps, sawtooth helpers.
 
 Everything here is exact.  Counting decisions are never made in floating
 point; the float-facing helpers (sawtooth, nearest integer) exist for the
@@ -39,17 +39,6 @@ def as_fraction(x) -> Fraction:
             raise InvalidArgumentError("cannot convert non-finite float to a rational")
         return Fraction(*x.as_integer_ratio())
     raise InvalidArgumentError(f"cannot interpret {x!r} as a rational number")
-
-
-@dataclass(frozen=True)
-class FactorSignature:
-    """Exact multiplicative profile of a natural number."""
-
-    n: int
-    Omega: int  # prime factors counted with multiplicity
-    nu: int  # distinct prime factors
-    mu: int  # Moebius value in {-1, 0, 1}
-    tau: int  # divisor count
 
 
 @dataclass(frozen=True)
@@ -165,26 +154,6 @@ def prime_factor_steps(values, table: PrimeTable):
         rest = rest // p
         left = rest > 1
         index, rest = index[left], rest[left]
-
-
-def factor_signature(n: int, table: PrimeTable) -> FactorSignature:
-    """Exact Omega, nu, mu, tau of n computed against ``table``."""
-    if n < 1:
-        raise InvalidArgumentError("factor_signature needs n >= 1")
-    if n > np.iinfo(np.int64).max:
-        raise CoverageError(f"{n} exceeds the 64-bit range of the factor pass")
-    exponents: list[int] = []
-    prev = 0
-    for _, p in prime_factor_steps([n], table):
-        if p[0] == prev:
-            exponents[-1] += 1
-        else:
-            exponents.append(1)
-            prev = p[0]
-    nu = len(exponents)
-    mu = 0 if any(e > 1 for e in exponents) else (-1) ** nu
-    tau = math.prod(e + 1 for e in exponents)
-    return FactorSignature(n=n, Omega=sum(exponents), nu=nu, mu=mu, tau=tau)
 
 
 def sawtooth_psi(t: float) -> float:

@@ -265,6 +265,11 @@ def _cmd_experiment(config: RunConfig) -> dict:
     k = int(p.get("k", 6))
     d_max = int(p.get("d_max", 100))
     max_pairs = int(p.get("max_pairs", 10**9))
+    # checked before any work: z = (3N)^(1/(k+1)) is undefined at k = -1
+    if k < 0:
+        raise InvalidArgumentError("almost-prime order k must be nonnegative")
+    if d_max < 1:
+        raise InvalidArgumentError("d_max must be at least 1")
 
     nsc = count_near_squares(A, B, delta, max_pairs=max_pairs)
     dec = sieve_decomposition(nsc, len(A), len(B), d_max)

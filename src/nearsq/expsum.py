@@ -177,16 +177,17 @@ def bilinear_sum_check(
 
     N = A.base_N
     b_arr = B.elements.astype(np.float64)
-    block_sums = []
-    for h in range(H0 + 1, 2 * H0 + 1):
-        res, ims = [], []
-        for a in A.elements:
-            t = np.sqrt(float(a) * b_arr)
+    hs = range(H0 + 1, 2 * H0 + 1)
+    res, ims = [[] for _ in hs], [[] for _ in hs]
+    for a in A.elements:
+        t = np.sqrt(float(a) * b_arr)
+        for i, h in enumerate(hs):
             frac = np.mod(h * t / d, 1.0)
             z = np.exp(2j * math.pi * frac)
-            res.append(float(np.sum(z.real)))
-            ims.append(float(np.sum(z.imag)))
-        block_sums.append(complex(math.fsum(res), math.fsum(ims)))
+            res[i].append(float(np.sum(z.real)))
+            ims[i].append(float(np.sum(z.imag)))
+    # fsum is exactly rounded, so the block sums do not depend on the loop order
+    block_sums = [complex(math.fsum(r), math.fsum(m)) for r, m in zip(res, ims)]
 
     if weights == "unit":
         measured = abs(complex(math.fsum(s.real for s in block_sums),

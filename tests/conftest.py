@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,6 +7,43 @@ import pytest
 from nearsq.arith import as_fraction, build_prime_table
 from nearsq.quadrature import integrate
 from nearsq.sievefn import EXP_GAMMA, build_sieve_table, log_ratio
+
+
+@dataclass(frozen=True)
+class FactorSignature:
+    """Exact multiplicative profile of a natural number."""
+
+    n: int
+    Omega: int  # prime factors counted with multiplicity
+    nu: int  # distinct prime factors
+    mu: int  # Moebius value in {-1, 0, 1}
+    tau: int  # divisor count
+
+
+def trial_prime_factors(n):
+    """Independent oracle: the prime factors of n with multiplicity, by
+    plain trial division by every integer."""
+    out = []
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            n //= d
+            out.append(d)
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def factor_signature(n):
+    """Omega, nu, mu and tau of n >= 1 by trial division, the oracle for
+    ``prime_factor_steps``."""
+    factors = trial_prime_factors(n)
+    exponents = [factors.count(p) for p in sorted(set(factors))]
+    nu = len(exponents)
+    mu = 0 if any(e > 1 for e in exponents) else (-1) ** nu
+    return FactorSignature(n=n, Omega=len(factors), nu=nu, mu=mu,
+                           tau=math.prod(e + 1 for e in exponents))
 
 
 @pytest.fixture(scope="session")

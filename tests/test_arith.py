@@ -10,41 +10,40 @@ from nearsq.arith import (
     as_fraction,
     build_prime_table,
     distance_to_nearest,
-    factor_signature,
     near_square_roots,
     nearest_integer,
+    prime_factor_steps,
     sawtooth_psi,
 )
 from nearsq.errors import CoverageError, InvalidArgumentError
 
+from conftest import factor_signature
 
-def trial_division_signature(n):
-    """Independent factorization oracle: plain trial division by every integer."""
-    if n == 1:
-        return (0, 0, 1, 1)
-    omega = nu = 0
-    mu_zero = False
-    tau = 1
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            omega += e
-            nu += 1
-            tau *= e + 1
-            if e > 1:
-                mu_zero = True
-        d += 1
-    if m > 1:
-        omega += 1
-        nu += 1
-        tau *= 2
-    mu = 0 if mu_zero else (-1) ** nu
-    return (omega, nu, mu, tau)
+
+def step_signatures(values, table):
+    """(Omega, nu, mu, tau) of every entry of ``values``, from the steps of
+    ``prime_factor_steps``: a step repeats a prime when its p equals the
+    entry's previous one."""
+    values = np.asarray(values, dtype=np.int64)
+    omega, nu, exp, prev = (np.zeros(len(values), dtype=np.int64) for _ in range(4))
+    tau = np.ones(len(values), dtype=np.int64)
+    square = np.zeros(len(values), dtype=bool)
+    for index, p in prime_factor_steps(values, table):
+        new = p != prev[index]
+        e = np.where(new, 0, exp[index])
+        tau[index] = tau[index] // (e + 1) * (e + 2)
+        exp[index] = e + 1
+        omega[index] += 1
+        nu[index] += new
+        square[index] |= ~new
+        prev[index] = p
+    mu = np.where(square, 0, (-1) ** nu)
+    return list(zip(omega.tolist(), nu.tolist(), mu.tolist(), tau.tolist()))
+
+
+def oracle_signature(n):
+    sig = factor_signature(n)
+    return (sig.Omega, sig.nu, sig.mu, sig.tau)
 
 
 class TestPrimeTable:
@@ -97,33 +96,27 @@ class TestPrimeTable:
 
 class TestFactorSignature:
     def test_twelve(self, table_100k):
-        sig = factor_signature(12, table_100k)
-        assert (sig.Omega, sig.nu, sig.mu, sig.tau) == (3, 2, 0, 6)
+        assert step_signatures([12], table_100k) == [(3, 2, 0, 6)] == [oracle_signature(12)]
 
     def test_one(self, table_100k):
-        sig = factor_signature(1, table_100k)
-        assert (sig.Omega, sig.nu, sig.mu, sig.tau) == (0, 0, 1, 1)
+        assert step_signatures([1], table_100k) == [(0, 0, 1, 1)] == [oracle_signature(1)]
 
     def test_primorial(self, table_100k):
-        sig = factor_signature(210, table_100k)
-        assert (sig.Omega, sig.nu, sig.mu, sig.tau) == (4, 4, 1, 16)
+        assert step_signatures([210], table_100k) == [(4, 4, 1, 16)] == [oracle_signature(210)]
 
     def test_against_trial_division_to_1e5(self, table_100k):
-        for n in range(2, 10**5 + 1):
-            sig = factor_signature(n, table_100k)
-            assert (sig.Omega, sig.nu, sig.mu, sig.tau) == trial_division_signature(n)
+        values = range(1, 10**5 + 1)
+        assert step_signatures(values, table_100k) == [oracle_signature(n) for n in values]
 
     def test_trial_division_path_beyond_spf(self):
         table = build_prime_table(2 * 10**6, spf_budget=10**4)
-        sig = factor_signature(999_983 * 2, table)  # 2 * prime
-        assert (sig.Omega, sig.nu, sig.mu, sig.tau) == (2, 2, 1, 4)
+        values = [999_983 * 2, 999_983 * 999_979, 2**39, 3**25, 10**12 - 11]
+        assert step_signatures(values, table) == [oracle_signature(n) for n in values]
 
     def test_coverage_error(self):
         table = build_prime_table(10)
         with pytest.raises(CoverageError):
-            factor_signature(10_007 * 10_009, table)
-        with pytest.raises(CoverageError):
-            factor_signature(2**64 + 1, table)
+            step_signatures([10_007 * 10_009], table)
 
     @given(st.integers(2, 2000), st.integers(2, 2000))
     @settings(max_examples=60, deadline=None)
@@ -131,18 +124,18 @@ class TestFactorSignature:
         if math.gcd(m, n) != 1:
             return
         table = build_prime_table(5000)
-        sm, sn = factor_signature(m, table), factor_signature(n, table)
-        smn = factor_signature(m * n, table)
-        assert smn.tau == sm.tau * sn.tau
-        assert smn.mu == sm.mu * sn.mu
-        assert smn.Omega == sm.Omega + sn.Omega
+        sm, sn, smn = step_signatures([m, n, m * n], table)
+        assert smn[3] == sm[3] * sn[3]  # tau
+        assert smn[2] == sm[2] * sn[2]  # mu
+        assert smn[0] == sm[0] + sn[0]  # Omega
 
 
 class TestAlmostPrime:
     def test_examples(self, table_100k):
-        assert factor_signature(64, table_100k).Omega <= 6
-        assert not factor_signature(64, table_100k).Omega <= 5
-        assert factor_signature(2 * 3 * 5 * 7 * 11 * 13, table_100k).Omega <= 6
+        (omega_64, *_), (omega_30030, *_) = step_signatures([64, 30030], table_100k)
+        assert omega_64 <= 6
+        assert not omega_64 <= 5
+        assert omega_30030 <= 6
 
 
 class TestSawtooth:

@@ -241,6 +241,16 @@ class TestErrors:
         doc = json.loads(out)
         assert doc["sifted"] == doc["H"]
 
+    @pytest.mark.parametrize("flag,value,err", [
+        ("--k", "-1", "error: almost-prime order k must be nonnegative"),
+        ("--d-max", "0", "error: d_max must be at least 1"),
+    ], ids=["k", "d_max"])
+    def test_experiment_order_and_modulus_checked_first(self, capsys, flag, value, err):
+        code, out, errtext = run_cli(capsys, ["experiment", "--N", "100", flag, value])
+        assert code == 2
+        assert out == ""
+        assert errtext.splitlines() == [err]
+
     def test_sweep_zero_step_exits_2(self, capsys):
         code, _, err = run_cli(capsys, [
             "sweep", "--target", "constant", "--delta-step", "0",

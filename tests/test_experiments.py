@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nearsq import experiments
 from nearsq.arith import as_fraction, build_prime_table
 from nearsq.errors import BudgetError, CoverageError, InvalidArgumentError
 from nearsq.experiments import (
@@ -20,7 +21,7 @@ from nearsq.experiments import (
     weighted_sum,
 )
 
-from conftest import exact_window_count, recount_float
+from conftest import exact_window_count, recount_float, trial_prime_factors
 
 
 def random_instance(prng, n_max=220):
@@ -32,21 +33,6 @@ def random_instance(prng, n_max=220):
     A = generate_subset(N, "explicit", elements=a_els)
     B = generate_subset(N, "explicit", elements=b_els)
     return A, B
-
-
-def trial_prime_factors(n):
-    """Independent oracle: the prime factors of n with multiplicity, by
-    plain trial division by every integer."""
-    out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            n //= d
-            out.append(d)
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def weighted_oracle(rounded_values, N, k, squarefree_only=False):
@@ -62,6 +48,31 @@ def weighted_oracle(rounded_values, N, k, squarefree_only=False):
         mid = sum(1 for p in primes if p**15 >= N and p**k < N)
         expect += m * (Fraction(1) - Fraction(mid, 2))
     return expect
+
+
+TINY = Fraction(1, 2**50)
+# windows next to 1/2, where the far neighbour starts to count, next to 1,
+# and below the float margin (about 3e-14 at N = 50), where squares fall back
+MARGIN_WINDOWS = (Fraction(1, 2) - TINY, Fraction(1, 2) + TINY, Fraction(2, 3), 1 - TINY,
+                  Fraction(1, 10**14))
+
+
+def assert_count_is_sum(whole, parts):
+    """``whole`` counts the union of the pair sets that ``parts`` count."""
+    mult = sum(p.multiplicities for p in parts)
+    assert np.array_equal(whole.multiplicities, mult)
+    assert whole.l_offset == parts[0].l_offset
+    assert whole.H_count == sum(p.H_count for p in parts)
+    assert whole.distinct_count == np.count_nonzero(mult)
+    assert whole.exact_fallbacks == sum(p.exact_fallbacks for p in parts)
+    assert whole.boundary_margin == min(p.boundary_margin for p in parts)
+
+
+def split_count(A, x, delta):
+    """count(A, A) through the pass for distinct sets: the columns A without x, then x."""
+    rest = generate_subset(A.base_N, "explicit", elements=[b for b in A.elements if b != x])
+    one = generate_subset(A.base_N, "explicit", elements=[x])
+    return [count_near_squares(A, rest, delta), count_near_squares(A, one, delta)]
 
 
 def roots_count(N, roots):
@@ -207,6 +218,42 @@ class TestCountNearSquares:
             H, mult = exact_window_count(A, B, delta)
             assert nsc.H_count == H
             assert dict(nsc.rounded_values()) == mult
+
+    @given(st.integers(0, 10**4))
+    @settings(max_examples=20, deadline=None)
+    def test_equal_and_distinct_sets_at_the_float_margin(self, seed):
+        prng = random.Random(seed)
+        A, B = random_instance(prng, n_max=150)
+        for delta in MARGIN_WINDOWS:
+            for X, Y in ((A, A), (A, B)):
+                nsc = count_near_squares(X, Y, delta)
+                H, mult = exact_window_count(X, Y, delta)
+                assert nsc.H_count == H
+                assert dict(nsc.rounded_values()) == mult
+
+    @given(st.integers(0, 10**4), st.sampled_from(MARGIN_WINDOWS + (Fraction(1, 7),)))
+    @settings(max_examples=30, deadline=None)
+    def test_equal_sets_count_is_additive(self, seed, delta):
+        # the pass for A = B (each unordered pair once, weight 2) against the
+        # pass for distinct sets, field by field
+        prng = random.Random(seed)
+        A, _ = random_instance(prng, n_max=220)
+        x = prng.choice(A.elements.tolist())
+        assert_count_is_sum(count_near_squares(A, A, delta), split_count(A, x, delta))
+
+    def test_full_set_blocks_straddle_rows(self):
+        # several rows per block, and a short last block, so that the closing
+        # pass's lower triangles cross block edges
+        N = 200
+        rows = experiments.CELLS // N
+        assert 1 < rows < N and N % rows
+        A = generate_subset(N, "full")
+        for delta in (float(N) ** -0.05, Fraction(1, 20)) + MARGIN_WINDOWS:
+            nsc = count_near_squares(A, A, delta)
+            H, mult = exact_window_count(A, A, delta)
+            assert nsc.H_count == H
+            assert dict(nsc.rounded_values()) == mult
+            assert_count_is_sum(nsc, split_count(A, int(A.elements[-1]), delta))
 
     def test_perfect_squares_decided_in_float_beyond_half(self):
         # a correctly rounded sqrt is exact on perfect squares, so they need

@@ -183,6 +183,27 @@ class TestBilinearSum:
         with pytest.raises(BudgetError):
             bilinear_sum_check(100, A, A, budget=10**6)
 
+    @pytest.mark.parametrize("weights,d", [("unit", 3), ("adversarial", 2)])
+    def test_measured_value_independent_of_loop_order(self, weights, d):
+        # the block sums taken h by h, one square root per (h, a), as the
+        # reference for the single square root per a: fsum is exactly
+        # rounded, so the two orders agree bit for bit
+        A = generate_subset(300, "bernoulli", density=0.5, seed=1)
+        B = generate_subset(300, "bernoulli", density=0.5, seed=2)
+        sums = []
+        for h in range(4, 7):
+            res, ims = [], []
+            for a in A.elements:
+                z = np.exp(2j * math.pi * np.mod(h * np.sqrt(float(a) * B.elements) / d, 1.0))
+                res.append(float(np.sum(z.real)))
+                ims.append(float(np.sum(z.imag)))
+            sums.append(complex(math.fsum(res), math.fsum(ims)))
+        if weights == "unit":
+            expect = abs(complex(math.fsum(s.real for s in sums), math.fsum(s.imag for s in sums)))
+        else:
+            expect = math.fsum(abs(s) for s in sums)
+        assert bilinear_sum_check(3, A, B, d=d, weights=weights).measured_value == expect
+
     def test_deterministic(self):
         A = generate_subset(150, "bernoulli", density=0.7, seed=5)
         a = bilinear_sum_check(2, A, A)
