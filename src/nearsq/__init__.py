@@ -10,10 +10,7 @@ from .arith import (
     PrimeTable,
     as_fraction,
     build_prime_table,
-    distance_to_nearest,
     near_square_roots,
-    nearest_integer,
-    sawtooth_psi,
 )
 from .constants import (
     ConstantReport,
@@ -57,7 +54,6 @@ from .expsum import (
     pair_count,
     quadruple_count,
 )
-from .quadrature import QuadratureResult, gauss_legendre, integrate
 from .sievefn import (
     EULER_GAMMA,
     EXP_GAMMA,

@@ -1,9 +1,8 @@
-"""Exact integer arithmetic: prime tables, prime factor steps, sawtooth helpers.
+"""Exact integer arithmetic: prime tables, prime factor steps, rationals.
 
 Everything here is exact.  Counting decisions are never made in floating
-point; the float-facing helpers (sawtooth, nearest integer) exist for the
-analytic side, while ``near_square_roots`` is the integer predicate that the
-enumeration modules fall back to near decision boundaries.
+point; ``near_square_roots`` is the integer predicate that the enumeration
+modules fall back to near decision boundaries.
 """
 
 from __future__ import annotations
@@ -33,7 +32,10 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise InvalidArgumentError(f"cannot interpret {x!r} as a rational number") from None
     if isinstance(x, float):
         if not math.isfinite(x):
             raise InvalidArgumentError("cannot convert non-finite float to a rational")
@@ -154,24 +156,6 @@ def prime_factor_steps(values, table: PrimeTable):
         rest = rest // p
         left = rest > 1
         index, rest = index[left], rest[left]
-
-
-def sawtooth_psi(t: float) -> float:
-    """t - floor(t) - 1/2, the 1-periodic sawtooth with values in [-1/2, 1/2)."""
-    frac = t - math.floor(t)
-    if frac >= 1.0:  # rounding at tiny negative t; keep the half-open range
-        frac = math.nextafter(1.0, 0.0)
-    return frac - 0.5
-
-
-def nearest_integer(t: float) -> int:
-    """Closest integer to t; exact half-integers round up."""
-    return math.floor(t + 0.5)
-
-
-def distance_to_nearest(t: float) -> float:
-    """Distance from t to the nearest integer, in [0, 1/2]."""
-    return abs(t - nearest_integer(t))
 
 
 def near_square_roots(m: int, num: int, den: int) -> list[int]:

@@ -103,6 +103,8 @@ def _cmd_sieve_fn(config: RunConfig) -> dict:
 def _cmd_mertens(config: RunConfig) -> dict:
     p = config.parameters
     z = float(p["z"])
+    if not math.isfinite(z):  # checked before the prime table is sized from ceil(z)
+        raise InvalidArgumentError(f"mertens product needs a finite z, got {z}")
     table = build_prime_table(max(int(math.ceil(z)), 2))
     m = mertens_product(z, table)
     exact = (
@@ -178,6 +180,8 @@ def _cmd_psi_approx(config: RunConfig) -> dict:
     p = config.parameters
     H = int(p["H"])
     grid_points = int(p.get("grid_points", 10_000))
+    if grid_points < 1:
+        raise InvalidArgumentError("psi-approx needs at least one grid point")
     approx = build_sawtooth_approximation(H)
     t = (np.arange(grid_points) + 0.5) / grid_points
     saw = t - np.floor(t) - 0.5
@@ -319,6 +323,8 @@ def _sweep_rows(config: RunConfig, skip: int = 0) -> tuple[list[str], list[list]
         start = float(p.get("delta_start", 1e-4))
         end = float(p.get("delta_end", 0.0121))
         step = float(p.get("delta_step", 1e-4))
+        if not all(map(math.isfinite, (start, end, step))):  # the grid loop would never end
+            raise InvalidArgumentError("sweep delta grid needs a finite start, end and step")
         if step <= 0:
             raise InvalidArgumentError("sweep step must be positive")
         deltas = []

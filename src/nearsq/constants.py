@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .arith import as_fraction
 from .errors import InvalidArgumentError, RegimeError
 from .quadrature import integrate
@@ -172,7 +174,8 @@ class WeightedConstantReport:
     ``value_unsimplified`` uses the argument obtained from the double
     integrals behind the printed formula by Fubini.  When the two disagree
     beyond DISCREPANCY_TOL the re-derived value is authoritative.
-    ``quad_error`` sums the error estimates of the three single integrals.
+    ``quad_error`` sums the Gauss-Legendre error estimates of the three
+    single integrals.
     """
 
     delta: float
@@ -214,22 +217,19 @@ def weighted_sieve_constant(delta: float, k: int, tol: float = 1e-9) -> Weighted
     ratio = top / (c - 15.0 / k) * (15.0 / k)
 
     def j(h):
-        res = integrate(
-            lambda s: log_ratio(s) * math.log(h(s)), 2.0, s_hi, tol=tol, endpoint_shift=1e-12
-        )
-        return res.value, res.error_estimate
+        return integrate(lambda s: log_ratio(s) * np.log(h(s)), 2.0, s_hi, tol)
 
-    j1, e1 = j(lambda s: top / (s + 1.0))
-    j2, e2 = j(lambda s: top * c / (s + 1.0) - 1.0)  # printed
-    j3, e3 = j(lambda s: top * (top - s) / (s + 1.0))  # re-derived
-    shared = math.log(top) + j1 - 0.5 * math.log(ratio)
-    value = pref * (shared - 0.5 * j2)
-    value_unsimplified = pref * (shared - 0.5 * j3)
+    j1 = j(lambda s: top / (s + 1.0))
+    j2 = j(lambda s: top * c / (s + 1.0) - 1.0)  # printed
+    j3 = j(lambda s: top * (top - s) / (s + 1.0))  # re-derived
+    shared = math.log(top) + j1.value - 0.5 * math.log(ratio)
+    value = pref * (shared - 0.5 * j2.value)
+    value_unsimplified = pref * (shared - 0.5 * j3.value)
     return WeightedConstantReport(
         delta=float(delta),
         k=k,
         value=value,
         value_unsimplified=value_unsimplified,
         discrepancy=value_unsimplified - value,
-        quad_error=e1 + e2 + e3,
+        quad_error=j1.error_estimate + j2.error_estimate + j3.error_estimate,
     )

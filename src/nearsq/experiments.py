@@ -30,8 +30,6 @@ class IntervalSubset:
     base_N: int
     elements: np.ndarray
     provenance: str
-    seed: int | None = None
-    density: float | None = None
 
     def __post_init__(self):
         els = np.asarray(self.elements, dtype=np.int64)
@@ -76,7 +74,7 @@ def generate_subset(
             raise InvalidArgumentError("bernoulli density must lie in (0, 1]")
         rng = np.random.default_rng(seed)
         mask = rng.random(len(window)) < density
-        return IntervalSubset(base_N, window[mask], "bernoulli", seed=seed, density=density)
+        return IntervalSubset(base_N, window[mask], "bernoulli")
     if kind == "adversarial-spread":
         roots = np.sqrt(window.astype(np.float64))
         l = np.rint(roots).astype(np.int64)

@@ -31,43 +31,56 @@ from .quadrature import integrate
 
 EULER_GAMMA = 0.57721566490153286061  # 20 significant digits
 EXP_GAMMA = math.exp(EULER_GAMMA)
+CLOSED_FORM_TOL = 1e-12  # error budget of each closed-form integral
 
 
-def log_ratio(t: float) -> float:
+def log_ratio(t):
     """The kernel g(t) = log(t - 1) / t of every closed form; g(2) = 0."""
-    return math.log(t - 1.0) / t
+    return np.log(t - 1.0) / t
 
 
-def upper_closed(u: float, tol: float = 1e-10) -> float:
-    """Closed-form upper density on (0, 5]."""
-    if not 0.0 < u <= 5.0 + 1e-9:
-        raise RangeError(f"upper density closed form needs 0 < u <= 5, got {u}")
-    u = min(u, 5.0)
-    if u <= 3.0:
-        return 2.0 * EXP_GAMMA / u
-    inner = integrate(log_ratio, 2.0, u - 1.0, tol=tol)
-    return 2.0 * EXP_GAMMA / u * (1.0 + inner.value)
+def _closed_argument(u, top: float, name: str) -> np.ndarray:
+    """u as a 1-d float array, checked to lie in (0, top] and clipped to top."""
+    v = np.atleast_1d(np.asarray(u, dtype=float))
+    inside = (v > 0.0) & (v <= top + 1e-9)  # NaN is outside
+    if not np.all(inside):
+        raise RangeError(
+            f"{name} density closed form needs 0 < u <= {top:g}, got {v[~inside][0]}"
+        )
+    return np.minimum(v, top)
 
 
-def lower_closed(u: float, tol: float = 1e-10) -> float:
-    """Closed-form lower density on (0, 6].
+def upper_closed(u):
+    """Closed-form upper density on (0, 5], at a scalar or an array of u."""
+    v = _closed_argument(u, 5.0, "upper")
+    out = 2.0 * EXP_GAMMA / v
+    above = v > 3.0
+    if np.any(above):
+        out[above] *= 1.0 + integrate(log_ratio, 2.0, v[above] - 1.0, CLOSED_FORM_TOL).value
+    return out if np.ndim(u) else float(out[0])
+
+
+def lower_closed(u):
+    """Closed-form lower density on (0, 6], at a scalar or an array of u.
 
     On (2, 4] the delay system integrates in elementary terms to
     2*e^gamma*log(u-1)/u.  On (4, 6] it gives the double integral
     int_3^{u-1} (1/t) int_2^{t-1} g(s) ds dt, which Fubini turns into the
     single integral int_2^{u-2} g(s) log((u-1)/(s+1)) ds.
     """
-    if not 0.0 < u <= 6.0 + 1e-9:
-        raise RangeError(f"lower density closed form needs 0 < u <= 6, got {u}")
-    u = min(u, 6.0)
-    if u <= 2.0:
-        return 0.0
-    if u <= 4.0:
-        return 2.0 * EXP_GAMMA * math.log(u - 1.0) / u
-    inner = integrate(
-        lambda s: log_ratio(s) * math.log((u - 1.0) / (s + 1.0)), 2.0, u - 2.0, tol=tol
-    )
-    return 2.0 * EXP_GAMMA / u * (math.log(u - 1.0) + inner.value)
+    v = _closed_argument(u, 6.0, "lower")
+    out = np.zeros_like(v)
+    mid = (v > 2.0) & (v <= 4.0)
+    out[mid] = 2.0 * EXP_GAMMA * np.log(v[mid] - 1.0) / v[mid]
+    above = v > 4.0
+    if np.any(above):
+        w = v[above]
+        inner = integrate(
+            lambda s: log_ratio(s) * np.log((w[:, None] - 1.0) / (s + 1.0)),
+            2.0, w - 2.0, CLOSED_FORM_TOL,
+        ).value
+        out[above] = 2.0 * EXP_GAMMA / w * (np.log(w - 1.0) + inner)
+    return out if np.ndim(u) else float(out[0])
 
 
 @dataclass(frozen=True)
@@ -78,7 +91,6 @@ class SieveFunctionTable:
     grid_step: float
     upper_values: np.ndarray
     lower_values: np.ndarray
-    quadrature_tolerance: float
 
     @property
     def grid(self) -> np.ndarray:
@@ -101,17 +113,17 @@ class SieveFunctionTable:
         return total
 
     def upper(self, u: float) -> float:
-        if u <= 0.0 or u > self.u_max + 1e-12:
+        if not 0.0 < u <= self.u_max + 1e-12:
             raise RangeError(f"upper(u) needs 0 < u <= u_max={self.u_max}, got {u}")
         if u <= 5.0:
-            return upper_closed(u, tol=self.quadrature_tolerance)
+            return upper_closed(u)
         return self._interp(self.upper_values, min(u, self.u_max))
 
     def lower(self, u: float) -> float:
-        if u <= 0.0 or u > self.u_max + 1e-12:
+        if not 0.0 < u <= self.u_max + 1e-12:
             raise RangeError(f"lower(u) needs 0 < u <= u_max={self.u_max}, got {u}")
         if u <= 6.0:
-            return lower_closed(u, tol=self.quadrature_tolerance)
+            return lower_closed(u)
         return self._interp(self.lower_values, min(u, self.u_max))
 
     def dump_csv(self, path) -> None:
@@ -120,19 +132,6 @@ class SieveFunctionTable:
             writer.writerow(["u", "F", "f"])
             for u, up, lo in zip(self.grid, self.upper_values, self.lower_values):
                 writer.writerow([f"{u:.6f}", f"{up:.12g}", f"{lo:.12g}"])
-
-
-def _cumulative_simpson(points: np.ndarray, fn) -> np.ndarray:
-    """Running integral of fn from points[0] along a uniform grid."""
-    h = points[1] - points[0]
-    left = fn(points[:-1])
-    mid = fn(points[:-1] + 0.5 * h)
-    right = fn(points[1:])
-    segments = h / 6.0 * (left + 4.0 * mid + right)
-    out = np.empty(len(points))
-    out[0] = 0.0
-    np.cumsum(segments, out=out[1:])
-    return out
 
 
 def build_sieve_table(
@@ -145,12 +144,12 @@ def build_sieve_table(
     sides over the already-built grid.  The marching error scales like
     step**2, which is checked against ``tol`` up front.
     """
-    if u_max < 6.0:
-        raise InvalidArgumentError("u_max must be at least 6")
+    if not 6.0 <= u_max < math.inf:
+        raise InvalidArgumentError(f"u_max must be finite and at least 6, got {u_max}")
     if not 0.0 < step <= 0.01:
         raise InvalidArgumentError("step must lie in (0, 0.01]")
-    if tol <= 0.0:
-        raise InvalidArgumentError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise InvalidArgumentError(f"tolerance must be positive and finite, got {tol}")
     # grid-aligned delays march at 4th order; otherwise trapezoid with
     # interpolated delays, which is only 2nd order
     grid_aligned = abs(round(1.0 / step) - 1.0 / step) < 1e-9
@@ -163,54 +162,13 @@ def build_sieve_table(
     n = round((u_max - 2.0) / step)
     u = 2.0 + np.arange(n + 1) * step
     u_max = float(u[-1])
-    half = 0.5 * step
-
-    def g(s):
-        s = np.asarray(s, dtype=float)
-        return np.where(s > 1.0, np.log(np.maximum(s - 1.0, 1e-300)) / s, 0.0)
-
-    # running integral of log(s-1)/s from 2, sampled at half-step resolution on [2, 4]
-    s_grid = 2.0 + np.arange(round(2.0 / half) + 1) * half
-    inner_i1 = _cumulative_simpson(s_grid, g)
-
-    def i1_at(x: np.ndarray) -> np.ndarray:
-        pos = (np.asarray(x, dtype=float) - 2.0) / half
-        idx = np.rint(pos).astype(int)
-        if np.max(np.abs(pos - idx)) < 1e-6:
-            return inner_i1[idx]
-        return np.interp(x, s_grid, inner_i1)
-
+    # last grid points at or below u = 5 and u = 6, where the closed forms end
+    i5 = math.floor(3.0 / step + 1e-9)
+    i6 = math.floor(4.0 / step + 1e-9)
     upper_vals = np.empty(n + 1)
     lower_vals = np.empty(n + 1)
-
-    i3 = round(1.0 / step)
-    i4 = round(2.0 / step)
-    i5 = min(round(3.0 / step), n)
-    i6 = min(round(4.0 / step), n)
-
-    upper_vals[: i3 + 1] = 2.0 * EXP_GAMMA / u[: i3 + 1]
-    upper_vals[i3 + 1 : i5 + 1] = (
-        2.0 * EXP_GAMMA / u[i3 + 1 : i5 + 1] * (1.0 + i1_at(u[i3 + 1 : i5 + 1] - 1.0))
-    )
-    lower_vals[0] = 0.0
-    lower_vals[1 : i4 + 1] = (
-        2.0 * EXP_GAMMA * np.log(u[1 : i4 + 1] - 1.0) / u[1 : i4 + 1]
-    )
-
-    if i6 > i4:
-        # running integral of i1(t - 1) / t from t = 3, step-aligned with the grid
-        t_grid = 3.0 + np.arange(i6 - i4 + 1) * step
-
-        def w(t):
-            return i1_at(np.asarray(t) - 1.0) / np.asarray(t)
-
-        inner_i2 = _cumulative_simpson(t_grid, w)
-        lower_vals[i4 + 1 : i6 + 1] = (
-            2.0
-            * EXP_GAMMA
-            / u[i4 + 1 : i6 + 1]
-            * (np.log(u[i4 + 1 : i6 + 1] - 1.0) + inner_i2[1:])
-        )
+    upper_vals[: i5 + 1] = upper_closed(u[: i5 + 1])
+    lower_vals[: i6 + 1] = lower_closed(u[: i6 + 1])
 
     # continuation by marching (u*upper)' = lower(u-1), (u*lower)' = upper(u-1):
     # each step adds the integral of the already-tabulated delayed function
@@ -255,7 +213,6 @@ def build_sieve_table(
         grid_step=step,
         upper_values=upper_vals,
         lower_values=lower_vals,
-        quadrature_tolerance=min(tol * 1e-3, 1e-10),
     )
     _validate_table(table)
     return table
@@ -304,8 +261,8 @@ class MertensProduct:
 
 def mertens_product(z: float, table: PrimeTable) -> MertensProduct:
     """prod_{p < z} (1 - 1/p) as an exact rational, plus e^{-gamma}/log z."""
-    if z < 2:
-        raise InvalidArgumentError("mertens product needs z >= 2")
+    if not z >= 2:  # NaN fails too
+        raise InvalidArgumentError(f"mertens product needs z >= 2, got {z}")
     if z > table.limit + 1:
         raise CoverageError(
             f"prime table limit {table.limit} does not reach all primes below {z}"

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from nearsq.arith import as_fraction, build_prime_table
-from nearsq.quadrature import integrate
-from nearsq.sievefn import EXP_GAMMA, build_sieve_table, log_ratio
+from nearsq.sievefn import EXP_GAMMA, build_sieve_table
+
+_GL64_NODES, _GL64_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
 @dataclass(frozen=True)
@@ -69,19 +70,31 @@ def midpoint_rule(fn, a, b, n=10**6):
     return float(np.sum(fn(xs)) * h)
 
 
-def _inner_g(t, tol):
-    # int_2^{t-1} log(s-1)/s ds, evaluated on its own at every outer node
-    return integrate(log_ratio, 2.0, t - 1.0, tol=tol).value
+def gauss_legendre(fn, a, b):
+    """Test-local 64-node Gauss-Legendre rule, independent of nearsq.quadrature.
+
+    ``fn`` takes an array of nodes; ``a`` and ``b`` may be arrays, with one
+    row of nodes per interval."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    half = 0.5 * (b - a)
+    nodes = 0.5 * (a + b)[..., None] + half[..., None] * _GL64_NODES
+    return half * (fn(nodes) @ _GL64_WEIGHTS)
 
 
-def nested_lower(u, tol=1e-10):
+def _inner_g(x):
+    # int_2^x log(s-1)/s ds, one inner rule at every entry of x
+    return gauss_legendre(lambda s: np.log(s - 1.0) / s, 2.0, x)
+
+
+def nested_lower(u):
     """Lower density on (4, 6] through the nested double integral, the oracle
     for the single integral that ``lower_closed`` evaluates."""
-    outer = integrate(lambda t: _inner_g(t, tol * 0.01) / t, 3.0, u - 1.0, tol=tol)
-    return 2.0 * EXP_GAMMA / u * (math.log(u - 1.0) + outer.value)
+    outer = gauss_legendre(lambda t: _inner_g(t - 1.0) / t, 3.0, u - 1.0)
+    return 2.0 * EXP_GAMMA / u * (math.log(u - 1.0) + outer)
 
 
-def nested_weighted_constant(delta, k, tol=1e-9):
+def nested_weighted_constant(delta, k):
     """Re-derived C(delta, k) through its double integrals: the lower term
     pref (log top + int_3^top G(t-1)/t dt) minus half the mid-range prime
     upper term 30 int_{t_lo}^top (1 + G(t-1)) / (t (c - t)) dt."""
@@ -90,12 +103,9 @@ def nested_weighted_constant(delta, k, tol=1e-9):
     pref = 6.0 / (1.0 - 2.0 * delta)
     t_lo = c - 15.0 / k
 
-    def quad(fn, a, b):
-        return integrate(fn, a, b, tol=tol, endpoint_shift=1e-12).value
-
-    lower = pref * (math.log(top) + quad(lambda t: _inner_g(t, tol * 1e-2) / t, 3.0, top))
-    u1 = quad(lambda t: 1.0 / (t * (c - t)), t_lo, top)
-    u2 = quad(lambda t: _inner_g(t, tol * 1e-2) / (t * (c - t)), max(3.0, t_lo), top)
+    lower = pref * (math.log(top) + gauss_legendre(lambda t: _inner_g(t - 1.0) / t, 3.0, top))
+    u1 = gauss_legendre(lambda t: 1.0 / (t * (c - t)), t_lo, top)
+    u2 = gauss_legendre(lambda t: _inner_g(t - 1.0) / (t * (c - t)), max(3.0, t_lo), top)
     return lower - 0.5 * 30.0 * (u1 + u2)
 
 

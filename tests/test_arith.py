@@ -3,17 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearsq.arith import (
     as_fraction,
     build_prime_table,
-    distance_to_nearest,
     near_square_roots,
-    nearest_integer,
     prime_factor_steps,
-    sawtooth_psi,
 )
 from nearsq.errors import CoverageError, InvalidArgumentError
 
@@ -138,50 +135,6 @@ class TestAlmostPrime:
         assert omega_30030 <= 6
 
 
-class TestSawtooth:
-    def test_examples(self):
-        assert sawtooth_psi(0.25) == -0.25
-        assert sawtooth_psi(3.0) == -0.5
-        assert sawtooth_psi(-0.25) == pytest.approx(0.25)
-
-    @given(st.floats(-1e6, 1e6))
-    @settings(max_examples=200)
-    def test_range(self, t):
-        v = sawtooth_psi(t)
-        assert -0.5 <= v < 0.5
-
-    @given(st.floats(-1e3, 1e3))
-    @settings(max_examples=200)
-    def test_periodicity(self, t):
-        # periodic to within 1 ulp away from the jump, where rounding of the
-        # shifted argument cannot cross an integer
-        assume(distance_to_nearest(t) > 1e-9)
-        assert sawtooth_psi(t + 1.0) == pytest.approx(sawtooth_psi(t), abs=1e-9)
-
-    @pytest.mark.parametrize("M", [10, 100, 1000, 10000])
-    def test_mean_on_equispaced_grid(self, M):
-        mean = sum(sawtooth_psi(j / M) for j in range(M)) / M
-        assert abs(mean) <= 1 / (2 * M) + 1e-12
-
-
-class TestNearestInteger:
-    def test_examples(self):
-        assert nearest_integer(2.449) == 2
-        assert distance_to_nearest(2.449) == pytest.approx(0.449)
-        assert nearest_integer(7.0) == 7
-        assert distance_to_nearest(7.0) == 0.0
-        assert nearest_integer(3.5) == 4  # ties round up
-        assert distance_to_nearest(3.5) == 0.5
-
-    @given(st.floats(-1e5, 1e5))
-    @settings(max_examples=200)
-    def test_symmetry_and_periodicity(self, t):
-        d = distance_to_nearest(t)
-        assert 0.0 <= d <= 0.5
-        assert distance_to_nearest(-t) == pytest.approx(d, abs=1e-9)
-        assert distance_to_nearest(t + 1.0) == pytest.approx(d, abs=1e-9)
-
-
 class TestNearSquareRoots:
     @given(st.integers(0, 10**6), st.integers(1, 120), st.integers(1, 100))
     @settings(max_examples=300, deadline=None)
@@ -212,3 +165,8 @@ class TestAsFraction:
     def test_rejects_nan(self):
         with pytest.raises(InvalidArgumentError):
             as_fraction(float("nan"))
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1/0", "abc", ""])
+    def test_rejects_unparseable_strings(self, text):
+        with pytest.raises(InvalidArgumentError):
+            as_fraction(text)

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearsq.cli import RunConfig, build_parser, dispatch, main
+from nearsq.errors import EXIT_CODES
 from nearsq.experiments import count_near_squares, generate_subset, sieve_decomposition
 
 
@@ -11,6 +16,32 @@ def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_cli_captured(argv):
+    """Exit code, stdout and stderr of one in-process run, argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# numeric strings no command can use, and small valid values per flag; the
+# valid ones keep every run cheap (u-max <= 12, z <= 1e5)
+BAD_NUMBERS = ["nan", "inf", "-inf", "0", "-1", "1/0", "abc"]
+FUZZ_FLAGS = {
+    "constant": {"--k": ["4", "5"], "--delta": ["0.0121", "0.05"], "--tol": ["1e-9", "1e-13"]},
+    "threshold": {"--eta": ["1", "9/10"], "--beta": ["1", "0.8"],
+                  "--delta": ["0", "1/20"], "--eps": ["0", "1/100"]},
+    "sieve-fn": {"--u-max": ["6", "8", "12"], "--step": ["1e-3", "2e-3", "0.01"],
+                 "--tol": ["1e-6", "1e-3"], "--query": ["2.5", "5.5", "7"]},
+    "mertens": {"--z": ["2", "10", "1e5"]},
+    "sweep --target=constant": {"--k": ["4", "5"], "--delta-start": ["0.001", "0.05"],
+                                "--delta-end": ["0.002", "0.09"], "--delta-step": ["1e-3", "0.01"]},
+}
 
 
 class TestThreshold:
@@ -276,3 +307,38 @@ class TestErrors:
                 parser.parse_args([sub, "--help"])
         helptext = capsys.readouterr().out
         assert "log(4-10 delta)" in helptext or "floor(2 /" in helptext
+
+    @pytest.mark.parametrize("argv, code", [
+        (["sieve-fn", "--u-max", "nan"], 2),
+        (["sieve-fn", "--query", "nan"], 7),
+        (["sieve-fn", "--tol", "nan"], 2),
+        (["constant", "--k", "4", "--delta", "0.01", "--tol", "nan"], 2),
+        (["mertens", "--z", "nan"], 2),
+        (["mertens", "--z", "inf"], 2),
+        (["threshold", "--delta", "nan"], 2),
+        (["threshold", "--eta", "inf"], 2),
+        (["threshold", "--delta", "1/0"], 2),
+        (["experiment", "--N", "100", "--delta", "nan"], 2),
+        (["psi-approx", "--H", "4", "--grid-points", "0"], 2),
+        (["sweep", "--target", "constant", "--delta-start", "nan"], 2),
+        (["sweep", "--target", "constant", "--delta-end", "inf"], 2),
+    ])
+    def test_bad_number_exits_with_one_error_line(self, capsys, argv, code):
+        got, out, err = run_cli(capsys, argv)
+        assert got == code
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_fuzzed_numbers_exit_with_a_mapped_code(self, data):
+        command = data.draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+        argv = command.split()
+        for flag, valid in FUZZ_FLAGS[command].items():
+            if data.draw(st.booleans()):
+                argv.append(f"{flag}={data.draw(st.sampled_from(valid + BAD_NUMBERS))}")
+        code, _, err = run_cli_captured(argv)
+        assert code in {0, *EXIT_CODES.values()}, (argv, code, err)
+        assert "Traceback" not in err
+        error_lines = [line for line in err.splitlines() if "error:" in line]
+        assert len(error_lines) == (code != 0), (argv, code, err)

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nearsq.constants import (
@@ -12,12 +13,11 @@ from nearsq.constants import (
     weighted_sieve_constant,
 )
 from nearsq.errors import InvalidArgumentError, RegimeError
-from nearsq.quadrature import gauss_legendre
 
-from conftest import nested_weighted_constant
+from conftest import gauss_legendre, nested_weighted_constant
 
 
-def _single_integral_forms(delta, k, j, log=math.log):
+def _single_integral_forms(delta, k, j, log=np.log):
     """(printed, re-derived) C(delta, k) from the three single integrals, each
     evaluated by the quadrature ``j(fn, a, b)`` with the logarithm ``log``."""
     c = 5 - 10 * delta
@@ -174,22 +174,21 @@ class TestWeightedConstant:
         # at delta -> 0 the k = 5 constant reduces to
         # 6 (log 4 + J1 - log(6)/2 - J2/2) with J1, J2 the delta = 0 integrals,
         # evaluated here by the independent 64-node Gauss-Legendre rule
-        j1 = gauss_legendre(
-            lambda s: math.log(s - 1) / s * math.log(4.0 / (s + 1.0)), 2.0, 3.0
-        )
+        j1 = gauss_legendre(lambda s: np.log(s - 1) / s * np.log(4.0 / (s + 1.0)), 2.0, 3.0)
         j2 = gauss_legendre(
-            lambda s: math.log(s - 1) / s * math.log(20.0 / (s + 1.0) - 1.0), 2.0, 3.0
+            lambda s: np.log(s - 1) / s * np.log(20.0 / (s + 1.0) - 1.0), 2.0, 3.0
         )
         closed = 6.0 * (math.log(4.0) + j1 - 0.5 * math.log(6.0) - 0.5 * j2)
         rep = weighted_sieve_constant(1e-9, 5)
         assert rep.value == pytest.approx(closed, abs=1e-6)
 
     def test_adaptive_vs_gauss_rules_agree(self):
+        # the library's 48-node rule against the independent 64-node one
         for delta, k in ((0.05, 5), (0.0121, 4)):
             rep = weighted_sieve_constant(delta, k)
             printed, rederived = _single_integral_forms(delta, k, gauss_legendre)
-            assert rep.value == pytest.approx(printed, abs=1e-8)
-            assert rep.value_unsimplified == pytest.approx(rederived, abs=1e-8)
+            assert rep.value == pytest.approx(printed, abs=1e-13)
+            assert rep.value_unsimplified == pytest.approx(rederived, abs=1e-13)
 
     def test_criterion_1_minimiser_against_mpmath(self):
         # delta = 0.0121 minimises the printed form on the criterion 1 grid
@@ -202,6 +201,18 @@ class TestWeightedConstant:
         assert printed > mpmath.mpf("0.0023205")
         assert abs(rep.value - printed) < 1e-10
         assert abs(rep.value_unsimplified - rederived) < 1e-10
+
+    @pytest.mark.parametrize("delta, k", [("0.0121", 4), ("0.0001", 4), ("0.05", 5), ("0.099", 5)])
+    def test_both_forms_against_mpmath(self, delta, k):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            printed, rederived = _single_integral_forms(
+                mpmath.mpf(delta), k, lambda fn, a, b: mpmath.quad(fn, [a, b]), mpmath.log
+            )
+        rep = weighted_sieve_constant(float(delta), k)
+        assert abs(rep.value - printed) < 1e-14
+        assert abs(rep.value_unsimplified - rederived) < 1e-14
+        assert rep.quad_error < 1e-14
 
     def test_quad_error_covers_every_integral(self):
         tol = 1e-9

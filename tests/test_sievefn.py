@@ -34,9 +34,26 @@ class TestClosedForms:
         assert upper_closed(4.0) == pytest.approx(EXP_GAMMA / 2 * (1 + oracle), abs=1e-6)
 
     def test_upper_range_errors(self):
-        for bad in (0.0, -1.0, 5.1):
+        for bad in (0.0, -1.0, 5.1, math.nan, np.array([4.0, math.nan])):
             with pytest.raises(RangeError):
                 upper_closed(bad)
+
+    def test_closed_forms_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            two_eg = 2 * mpmath.exp(mpmath.euler)
+
+            def g(s):
+                return mpmath.log(s - 1) / s
+
+            for j in range(1, 26):
+                u = 3.0 + 2.0 * j / 25
+                ref = two_eg / u * (1 + mpmath.quad(g, [2, u - 1]))
+                assert abs(upper_closed(u) - ref) < 1e-14
+                u = 4.0 + 2.0 * j / 25
+                inner = mpmath.quad(lambda s: g(s) * mpmath.log((u - 1) / (s + 1)), [2, u - 2])
+                ref = two_eg / u * (mpmath.log(u - 1) + inner)
+                assert abs(lower_closed(u) - ref) < 1e-14
 
     def test_lower_zero_region(self):
         assert lower_closed(1.0) == 0.0
@@ -74,8 +91,15 @@ class TestClosedForms:
         assert lower_closed(2.0 + 1e-9) == pytest.approx(0.0, abs=1e-8)
 
     def test_lower_range_error(self):
-        with pytest.raises(RangeError):
-            lower_closed(6.5)
+        for bad in (6.5, math.nan, np.array([5.0, 6.5])):
+            with pytest.raises(RangeError):
+                lower_closed(bad)
+
+    def test_array_and_scalar_calls_agree(self):
+        u = np.array([0.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0])
+        low = lower_closed(u)
+        assert [lower_closed(float(x)) for x in u] == low.tolist()
+        assert [upper_closed(float(x)) for x in u[u <= 5.0]] == upper_closed(u[u <= 5.0]).tolist()
 
 
 class TestTable:
@@ -85,6 +109,17 @@ class TestTable:
         i6 = round(4.0 / t.grid_step)
         assert t.upper_values[i5] == pytest.approx(upper_closed(5.0), abs=1e-9)
         assert t.lower_values[i6] == pytest.approx(lower_closed(6.0), abs=1e-6)
+
+    def test_closed_region_equals_closed_forms_exactly(self, sieve_table_10):
+        t = sieve_table_10
+        up, lo = t.grid <= 5.0, t.grid <= 6.0
+        assert np.array_equal(t.upper_values[up], upper_closed(t.grid[up]))
+        assert np.array_equal(t.lower_values[lo], lower_closed(t.grid[lo]))
+        # queries in the closed region go through the same closed forms
+        for i in (1001, 2250, 3000):
+            assert t.upper(t.grid[i]) == t.upper_values[i]
+        for i in (2001, 3250, 3999):
+            assert t.lower(t.grid[i]) == t.lower_values[i]
 
     def test_closed_region_query(self, sieve_table_10):
         assert sieve_table_10.upper(2.5) == pytest.approx(2 * EXP_GAMMA / 2.5, abs=1e-12)
@@ -135,6 +170,16 @@ class TestTable:
             build_sieve_table(5.0)
         with pytest.raises(InvalidArgumentError):
             build_sieve_table(10.0, step=0.02)
+        for u_max, step, tol in ((math.nan, 1e-3, 1e-6), (math.inf, 1e-3, 1e-6),
+                                 (10.0, math.nan, 1e-6), (10.0, 1e-3, math.nan),
+                                 (10.0, 1e-3, math.inf), (10.0, 1e-3, 0.0)):
+            with pytest.raises(InvalidArgumentError):
+                build_sieve_table(u_max, step=step, tol=tol)
+
+    def test_nan_query_rejected(self, sieve_table_10):
+        for query in (sieve_table_10.upper, sieve_table_10.lower):
+            with pytest.raises(RangeError):
+                query(math.nan)
 
     def test_csv_dump(self, sieve_table_10, tmp_path):
         path = tmp_path / "table.csv"
@@ -165,8 +210,9 @@ class TestMertens:
             mertens_product(1000.0, table)
 
     def test_invalid_z(self, table_100k):
-        with pytest.raises(InvalidArgumentError):
-            mertens_product(1.5, table_100k)
+        for z in (1.5, math.nan, -math.inf):
+            with pytest.raises(InvalidArgumentError):
+                mertens_product(z, table_100k)
 
     def test_asymptotic_convergence(self, table_100k):
         devs = []
