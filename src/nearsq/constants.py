@@ -101,14 +101,6 @@ class DeltaRange:
     def is_empty(self) -> bool:
         return self.hi <= self.lo  # half-open on the right
 
-    def contains(self, delta) -> bool:
-        delta = as_fraction(delta)
-        if self.is_empty:
-            return False
-        if delta < self.lo or (delta == self.lo and not self.lo_inclusive):
-            return False
-        return delta < self.hi
-
 
 def delta_range(k: int, eta, beta) -> DeltaRange:
     """Admissible delta interval [3(eta+beta)/4 - 1 - 3/k, same - 3/(k+1)) for order k."""
@@ -131,9 +123,8 @@ def delta_range(k: int, eta, beta) -> DeltaRange:
 class ConstantReport:
     """Lower-bound constant 2(k+1) e^{-gamma} f(alpha (k+1)(eta+beta-delta)).
 
-    ``reconstructed`` records that the closed expression is assembled from
-    the sieve lower bound and the normalization X = 2 Delta |A||B|, not
-    stated directly anywhere.
+    The closed expression is reconstructed from the sieve lower bound and the
+    normalization X = 2 Delta |A||B|; it is not stated directly anywhere.
     """
 
     k: int
@@ -141,7 +132,6 @@ class ConstantReport:
     sieve_argument: float
     f_at_argument: float
     constant_value: float
-    reconstructed: bool = True
 
 
 def sieve_lower_constant(params: RegimeParams) -> ConstantReport:

@@ -72,6 +72,8 @@ def generate_subset(
     if kind == "bernoulli":
         if density is None or not 0.0 < density <= 1.0:
             raise InvalidArgumentError("bernoulli density must lie in (0, 1]")
+        if seed < 0:
+            raise InvalidArgumentError("seed must be nonnegative")
         rng = np.random.default_rng(seed)
         mask = rng.random(len(window)) < density
         return IntervalSubset(base_N, window[mask], "bernoulli")
@@ -119,10 +121,6 @@ class NearSquareCount:
     @property
     def pair_total(self) -> int:
         return self.A_size * self.B_size
-
-    def rounded_values(self) -> list[tuple[int, int]]:
-        idx = np.nonzero(self.multiplicities)[0]
-        return [(int(i) + self.l_offset, int(self.multiplicities[i])) for i in idx]
 
 
 def _empty_count(delta: Fraction, base_N: int, a_size: int, b_size: int) -> NearSquareCount:

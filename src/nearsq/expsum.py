@@ -102,10 +102,10 @@ def quadruple_count(
     """
     if M < 1 or N < 1:
         raise InvalidArgumentError("ranges must satisfy M, N >= 1")
-    if theta <= 0:
-        raise InvalidArgumentError("window theta must be positive")
-    if alpha_exp == 0 or beta_exp == 0:
-        raise InvalidArgumentError("exponents must be nonzero")
+    if not 0 < theta < math.inf:  # also rejects NaN
+        raise InvalidArgumentError("window theta must be positive and finite")
+    if not all(math.isfinite(e) and e != 0 for e in (alpha_exp, beta_exp)):
+        raise InvalidArgumentError("exponents must be finite and nonzero")
     if M * M * N * N > budget:
         raise BudgetError(f"{M * M * N * N} quadruples exceed the budget of {budget}")
 
@@ -131,8 +131,8 @@ def pair_count(B: IntervalSubset, X: float) -> BoundCheckRecord:
     The reference bound (1 + 2*sqrt(2N)/X)*|B| holds with constant exactly
     1, so the recorded ratio never exceeds 1.
     """
-    if X < 1:
-        raise InvalidArgumentError("spacing parameter X must be at least 1")
+    if not 1 <= X < math.inf:  # also rejects NaN
+        raise InvalidArgumentError("spacing parameter X must be finite and at least 1")
     if len(B) == 0:
         raise InvalidArgumentError("subset must be nonempty")
     roots = np.sqrt(B.elements.astype(np.float64))
@@ -171,6 +171,8 @@ def bilinear_sum_check(
         raise InvalidArgumentError("weights must be 'unit' or 'adversarial'")
     if A.base_N != B.base_N:
         raise InvalidArgumentError("both subsets must share the same base N")
+    if len(A) == 0 or len(B) == 0:  # the bound would be 0
+        raise InvalidArgumentError("subsets must be nonempty")
     terms = H0 * len(A) * len(B)
     if terms > budget:
         raise BudgetError(f"{terms} terms exceed the budget of {budget}")

@@ -124,6 +124,12 @@ def recount_float(A, B, delta):
     return total
 
 
+def rounded_values(nsc):
+    """(l, multiplicity) for every rounded root l that a count hit, ascending."""
+    idx = np.nonzero(nsc.multiplicities)[0]
+    return [(int(i) + nsc.l_offset, int(nsc.multiplicities[i])) for i in idx]
+
+
 def exact_window_count(A, B, delta):
     """Independent exact oracle for the near-square pair count.
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -29,9 +30,11 @@ def run_cli_captured(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-# numeric strings no command can use, and small valid values per flag; the
-# valid ones keep every run cheap (u-max <= 12, z <= 1e5)
+# numeric strings no command can use, and small values per flag: valid ones,
+# plus malformed lists for the list flags.  The valid ones keep every run
+# cheap (u-max <= 12, z <= 1e5, N <= 300, H <= 50, expsum sizes <= 200).
 BAD_NUMBERS = ["nan", "inf", "-inf", "0", "-1", "1/0", "abc"]
+BAD_LISTS = ["1:2:3", "2,x", "1,", ""]
 FUZZ_FLAGS = {
     "constant": {"--k": ["4", "5"], "--delta": ["0.0121", "0.05"], "--tol": ["1e-9", "1e-13"]},
     "threshold": {"--eta": ["1", "9/10"], "--beta": ["1", "0.8"],
@@ -41,6 +44,27 @@ FUZZ_FLAGS = {
     "mertens": {"--z": ["2", "10", "1e5"]},
     "sweep --target=constant": {"--k": ["4", "5"], "--delta-start": ["0.001", "0.05"],
                                 "--delta-end": ["0.002", "0.09"], "--delta-step": ["1e-3", "0.01"]},
+    "experiment": {"--N": ["50", "300"], "--density": ["0.5", "1"], "--delta": ["1/20", "0.3"],
+                   "--delta-exp": ["0.05", "0.5", "-1e10"], "--k": ["2", "6"],
+                   "--d-max": ["10", "100"], "--max-pairs": ["100", "10000000"],
+                   "--seed": ["0", "3"]},
+    "psi-approx": {"--H": ["2", "50"], "--grid-points": ["1", "100"]},
+    "expsum-check --check=quadruples": {"--M": ["1", "20"], "--N": ["1", "20"],
+                                        "--theta": ["0.01", "1e-6"], "--alpha": ["0.5", "-1"],
+                                        "--beta": ["0.5", "2"]},
+    "expsum-check --check=pairs": {"--N": ["2", "200"], "--X": ["1", "10"],
+                                   "--kind": ["full", "bernoulli"], "--density": ["0.5", "1"],
+                                   "--seed": ["0", "5"]},
+    "expsum-check --check=bilinear": {"--N": ["2", "200"], "--H0": ["1", "4"], "--d": ["1", "3"],
+                                      "--kind": ["full", "bernoulli"], "--density": ["0.5"],
+                                      "--seed": ["0", "5"]},
+    "sweep --target=residual": {"--N-list": ["50", "100,200", *BAD_LISTS],
+                                "--seeds": ["0", "0:2", "1,3", *BAD_LISTS],
+                                "--density": ["0.8"], "--delta": ["1/10", "0.3"]},
+    "sweep --target=remainder": {"--N-list": ["50", "100,300", *BAD_LISTS]},
+    "sweep --target=quadruples": {"--sizes": ["2", "2,4", *BAD_LISTS], "--theta": ["1e-6", "0.1"]},
+    "sweep --target=bilinear": {"--sizes": ["2", "8,16", *BAD_LISTS], "--H0": ["1", "4"],
+                                "--d": ["1", "2"]},
 }
 
 
@@ -206,6 +230,39 @@ class TestConfigFile:
         assert "warning" in err
         assert json.loads(out)["delta"] == 0.002
 
+    def test_file_values_read_like_flags(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"parameters": {"sizes": "4,8", "theta": "1e-3"}}))
+        argv = ["sweep", "--target", "quadruples"]
+        _, from_flags, _ = run_cli(capsys, argv + ["--sizes", "4,8", "--theta", "1e-3"])
+        code, from_file, _ = run_cli(capsys, argv + ["--config", str(cfg)])
+        assert code == 0
+        assert from_file == from_flags
+
+    @pytest.mark.parametrize("argv,content", [
+        (["sieve-fn"], None),
+        (["sieve-fn"], "{not json"),
+        (["sieve-fn"], "[1, 2]"),
+        (["sieve-fn"], '{"parameters": 3}'),
+        (["experiment", "--N", "100"], '{"parameters": {"N": "abc"}}'),
+        (["experiment", "--N", "100"], '{"parameters": {"N": 100.7}}'),
+        (["sieve-fn"], '{"parameters": {"query": 3}}'),
+        (["sweep", "--target", "quadruples"], '{"parameters": {"sizes": "4,x"}}'),
+        (["sweep", "--target", "quadruples", "--sizes", "2"], '{"threads": "x"}'),
+        (["experiment", "--N", "100"], '{"parameters": {"timing": "yes"}}'),
+        (["mertens", "--z", "10"], '{"output_format": "yaml"}'),
+    ], ids=["missing", "not-json", "not-object", "parameters-not-object", "N", "N-float", "query",
+            "sizes", "threads", "timing", "format"])
+    def test_bad_file_exits_with_one_error_line(self, capsys, tmp_path, argv, content):
+        cfg = tmp_path / "run.json"
+        if content is not None:
+            cfg.write_text(content)
+        code, out, err = run_cli(capsys, argv + ["--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert [line for line in err.splitlines() if "error:" in line] == err.splitlines()[-1:]
+        assert err.splitlines()[-1].startswith("error: ")
+
 
 class TestErrors:
     def test_unknown_command_exits_2(self, capsys):
@@ -319,9 +376,19 @@ class TestErrors:
         (["threshold", "--eta", "inf"], 2),
         (["threshold", "--delta", "1/0"], 2),
         (["experiment", "--N", "100", "--delta", "nan"], 2),
+        (["experiment", "--N", "100", "--delta-exp=-1e10"], 2),
         (["psi-approx", "--H", "4", "--grid-points", "0"], 2),
         (["sweep", "--target", "constant", "--delta-start", "nan"], 2),
         (["sweep", "--target", "constant", "--delta-end", "inf"], 2),
+        (["expsum-check", "--check", "pairs", "--N", "100", "--X", "nan"], 2),
+        (["expsum-check", "--check", "pairs", "--N", "100", "--X", "inf"], 2),
+        (["expsum-check", "--check", "quadruples", "--M", "2", "--N", "2", "--theta", "0.1",
+          "--alpha", "nan"], 2),
+        (["expsum-check", "--check", "quadruples", "--M", "2", "--N", "2", "--theta", "nan"], 2),
+        (["sweep", "--target", "quadruples", "--sizes", "2", "--theta", "nan"], 2),
+        (["sweep", "--target", "residual", "--N-list", "100,abc"], 2),
+        (["sweep", "--target", "residual", "--seeds", "1:2:3"], 2),
+        (["sweep", "--target", "quadruples", "--sizes", "2,x"], 2),
     ])
     def test_bad_number_exits_with_one_error_line(self, capsys, argv, code):
         got, out, err = run_cli(capsys, argv)
@@ -329,15 +396,46 @@ class TestErrors:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["mertens", "--z", "10", "--seed", "1"],
+        ["constant", "--k", "4", "--delta", "0.01", "--threads", "2"],
+        ["sweep", "--format", "csv"],
+    ])
+    def test_flags_a_command_does_not_read_are_rejected(self, argv):
+        code, out, err = run_cli_captured(argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    def test_unwritable_output_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, [
+            "mertens", "--z", "100", "--output", str(tmp_path / "nodir" / "x.json"),
+        ])
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     @given(st.data())
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_fuzzed_numbers_exit_with_a_mapped_code(self, data):
+        # each drawn value goes on the command line or into a --config file
         command = data.draw(st.sampled_from(sorted(FUZZ_FLAGS)))
         argv = command.split()
+        from_file = {}
         for flag, valid in FUZZ_FLAGS[command].items():
             if data.draw(st.booleans()):
-                argv.append(f"{flag}={data.draw(st.sampled_from(valid + BAD_NUMBERS))}")
-        code, _, err = run_cli_captured(argv)
+                value = data.draw(st.sampled_from(valid + BAD_NUMBERS))
+                if data.draw(st.booleans()):
+                    from_file[flag[2:].replace("-", "_")] = value
+                else:
+                    argv.append(f"{flag}={value}")
+        with tempfile.TemporaryDirectory() as tmp:
+            if from_file:
+                path = os.path.join(tmp, "run.json")
+                with open(path, "w") as fh:
+                    json.dump({"parameters": from_file}, fh)
+                argv += ["--config", path]
+            code, _, err = run_cli_captured(argv)
         assert code in {0, *EXIT_CODES.values()}, (argv, code, err)
         assert "Traceback" not in err
         error_lines = [line for line in err.splitlines() if "error:" in line]

@@ -21,7 +21,7 @@ from nearsq.experiments import (
     weighted_sum,
 )
 
-from conftest import exact_window_count, recount_float, trial_prime_factors
+from conftest import exact_window_count, recount_float, rounded_values, trial_prime_factors
 
 
 def random_instance(prng, n_max=220):
@@ -35,10 +35,10 @@ def random_instance(prng, n_max=220):
     return A, B
 
 
-def weighted_oracle(rounded_values, N, k, squarefree_only=False):
+def weighted_oracle(values, N, k, squarefree_only=False):
     """Direct weighted sum over a multiset given as (l, multiplicity) pairs."""
     expect = Fraction(0)
-    for l, m in rounded_values:
+    for l, m in values:
         factors = trial_prime_factors(l)
         primes = sorted(set(factors))
         if any(p**15 < N for p in primes[:1]):
@@ -99,6 +99,10 @@ class TestGenerateSubset:
             a.elements, generate_subset(5000, "bernoulli", density=0.5, seed=8).elements
         )
 
+    def test_bernoulli_rejects_negative_seed(self):
+        with pytest.raises(InvalidArgumentError):
+            generate_subset(100, "bernoulli", density=0.5, seed=-1)
+
     def test_bernoulli_concentration(self):
         # binomial 5-sigma band over 100 seeds
         N, p = 10**5, 0.3
@@ -135,13 +139,13 @@ class TestCountNearSquares:
                 nsc = count_near_squares(A, B, delta)
                 H, mult = exact_window_count(A, B, delta)
                 assert nsc.H_count == H
-                assert dict(nsc.rounded_values()) == mult
+                assert dict(rounded_values(nsc)) == mult
 
     def test_perfect_square_product(self):
         A = generate_subset(195, "explicit", elements=[196])
         nsc = count_near_squares(A, A, Fraction(1, 100))
         assert nsc.H_count == 1
-        assert nsc.rounded_values() == [(196, 1)]
+        assert rounded_values(nsc) == [(196, 1)]
 
     def test_half_window_counts_everything(self):
         # the root of an integer product is never exactly half-integral
@@ -217,7 +221,7 @@ class TestCountNearSquares:
             nsc = count_near_squares(A, B, delta)
             H, mult = exact_window_count(A, B, delta)
             assert nsc.H_count == H
-            assert dict(nsc.rounded_values()) == mult
+            assert dict(rounded_values(nsc)) == mult
 
     @given(st.integers(0, 10**4))
     @settings(max_examples=20, deadline=None)
@@ -229,7 +233,7 @@ class TestCountNearSquares:
                 nsc = count_near_squares(X, Y, delta)
                 H, mult = exact_window_count(X, Y, delta)
                 assert nsc.H_count == H
-                assert dict(nsc.rounded_values()) == mult
+                assert dict(rounded_values(nsc)) == mult
 
     @given(st.integers(0, 10**4), st.sampled_from(MARGIN_WINDOWS + (Fraction(1, 7),)))
     @settings(max_examples=30, deadline=None)
@@ -252,7 +256,7 @@ class TestCountNearSquares:
             nsc = count_near_squares(A, A, delta)
             H, mult = exact_window_count(A, A, delta)
             assert nsc.H_count == H
-            assert dict(nsc.rounded_values()) == mult
+            assert dict(rounded_values(nsc)) == mult
             assert_count_is_sum(nsc, split_count(A, int(A.elements[-1]), delta))
 
     def test_perfect_squares_decided_in_float_beyond_half(self):
@@ -263,7 +267,7 @@ class TestCountNearSquares:
         H, mult = exact_window_count(A, A, Fraction(2, 3))
         assert nsc.exact_fallbacks == 0
         assert nsc.H_count == H
-        assert dict(nsc.rounded_values()) == mult
+        assert dict(rounded_values(nsc)) == mult
 
     def test_boundary_margin_is_distance_to_nearest_edge(self):
         prng = random.Random(5)
@@ -319,7 +323,7 @@ class TestSieveDecomposition:
         A = generate_subset(400, "full")
         nsc = count_near_squares(A, A, Fraction(1, 9))
         dec = sieve_decomposition(nsc, len(A), len(A), 12)
-        values = dict(nsc.rounded_values())
+        values = dict(rounded_values(nsc))
         for d in (2, 3, 7, 12):
             assert dec.counts[d] == sum(m for l, m in values.items() if l % d == 0)
 
@@ -343,7 +347,7 @@ class TestSifting:
         # multiset {15}: smallest prime factor 3 < 4, sifted out at z = 4
         A = generate_subset(14, "explicit", elements=[15])
         nsc = count_near_squares(A, A, Fraction(1, 3))  # sqrt(225) = 15
-        assert nsc.rounded_values() == [(15, 1)]
+        assert rounded_values(nsc) == [(15, 1)]
         assert sifting_function(nsc, 4.0, build_prime_table(20)) == 0
         assert sifting_function(nsc, 3.0, build_prime_table(20)) == 1
 
@@ -371,7 +375,7 @@ class TestAlmostPrimeCount:
         # 8 * 8 = 64 = 2^6
         A = generate_subset(60, "explicit", elements=[64])
         nsc = count_near_squares(A, A, Fraction(1, 2))
-        assert nsc.rounded_values() == [(64, 1)]
+        assert rounded_values(nsc) == [(64, 1)]
         assert almost_prime_count(nsc, 5, table_22k).multiset_count == 0
         assert almost_prime_count(nsc, 6, table_22k).multiset_count == 1
 
@@ -403,7 +407,7 @@ class TestWeightedSum:
         # exactly two of them, so its weight is 1 - 2/2 = 0
         A = generate_subset(10000, "explicit", elements=[10014])
         nsc = count_near_squares(A, A, Fraction(1, 2))
-        assert nsc.rounded_values() == [(10014, 1)]
+        assert rounded_values(nsc) == [(10014, 1)]
         assert weighted_sum(nsc, 4, table_22k) == 0
 
     def test_value_against_direct_enumeration(self, table_22k):
@@ -413,7 +417,7 @@ class TestWeightedSum:
         N = 1500
         for k in (4, 5):
             got = weighted_sum(nsc, k, table_22k)
-            assert got == weighted_oracle(nsc.rounded_values(), N, k)
+            assert got == weighted_oracle(rounded_values(nsc), N, k)
 
     def test_squarefree_chain(self, table_22k):
         A = generate_subset(1200, "bernoulli", density=0.9, seed=41)
@@ -447,7 +451,7 @@ class TestFactorPass:
         L = 2 * N + 2
         dense, trial = build_prime_table(L), build_prime_table(L, spf_budget=L // 100)
         assert dense.spf is not None and trial.spf is None
-        values = nsc.rounded_values()
+        values = rounded_values(nsc)
         factors = {l: trial_prime_factors(l) for l, _ in values}
         sifted = sum(m for l, m in values if factors[l][0] >= z)
         almost = [(l, m) for l, m in values if len(factors[l]) <= k]

@@ -115,6 +115,11 @@ class TestQuadrupleCount:
             quadruple_count(4, 4, -1.0, 0.5, 0.5)
         with pytest.raises(InvalidArgumentError):
             quadruple_count(4, 4, 0.1, 0.0, 0.5)
+        for theta, alpha, beta in ((math.nan, 0.5, 0.5), (math.inf, 0.5, 0.5),
+                                   (0.1, math.nan, 0.5), (0.1, 0.5, math.inf),
+                                   (0.1, -math.inf, 0.5)):
+            with pytest.raises(InvalidArgumentError):
+                quadruple_count(4, 4, theta, alpha, beta)
 
 
 class TestPairCount:
@@ -148,8 +153,9 @@ class TestPairCount:
 
     def test_validation(self):
         B = generate_subset(100, "full")
-        with pytest.raises(InvalidArgumentError):
-            pair_count(B, 0.5)
+        for X in (0.5, math.nan, math.inf):
+            with pytest.raises(InvalidArgumentError):
+                pair_count(B, X)
 
 
 class TestBilinearSum:
@@ -177,6 +183,13 @@ class TestBilinearSum:
         unit = bilinear_sum_check(3, A, A, weights="unit")
         adv = bilinear_sum_check(3, A, A, weights="adversarial")
         assert adv.measured_value >= unit.measured_value - 1e-9
+
+    def test_empty_subset_rejected(self):
+        # an empty subset makes the bound 0, so no ratio exists
+        A = generate_subset(100, "full")
+        E = generate_subset(100, "explicit", elements=[])
+        with pytest.raises(InvalidArgumentError):
+            bilinear_sum_check(4, A, E)
 
     def test_budget_error(self):
         A = generate_subset(2000, "full")

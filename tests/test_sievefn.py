@@ -153,10 +153,12 @@ class TestTable:
 
     def test_interpolation_consistent_across_steps(self):
         t1 = build_sieve_table(8.0, step=1e-3, tol=1e-6)
-        t2 = build_sieve_table(8.0, step=2e-3, tol=1e-6)
-        for u in (5.5, 6.283, 7.123):
-            assert t1.upper(u) == pytest.approx(t2.upper(u), abs=1e-6)
-            assert t1.lower(u) == pytest.approx(t2.lower(u), abs=1e-6)
+        # 7e-4 does not divide 1: the delay falls between grid points
+        for step in (2e-3, 7e-4):
+            t2 = build_sieve_table(8.0, step=step, tol=1e-6)
+            for u in (5.5, 6.283, 7.123):
+                assert t1.upper(u) == pytest.approx(t2.upper(u), abs=1e-6)
+                assert t1.lower(u) == pytest.approx(t2.lower(u), abs=1e-6)
 
     def test_step_too_coarse(self):
         with pytest.raises(AccuracyError):
