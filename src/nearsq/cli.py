@@ -35,7 +35,14 @@ from .constants import (
     sieve_lower_constant,
     weighted_sieve_constant,
 )
-from .errors import EXIT_USAGE, InvalidArgumentError, NearsqError, RegimeError, exit_code_for
+from .errors import (
+    EXIT_USAGE,
+    BudgetError,
+    InvalidArgumentError,
+    NearsqError,
+    RegimeError,
+    exit_code_for,
+)
 from .experiments import (
     almost_prime_count,
     count_near_squares,
@@ -47,7 +54,7 @@ from .experiments import (
 )
 from .expsum import bilinear_sum_check, build_sawtooth_approximation, pair_count, quadruple_count
 from .reports import csv_text, fraction_str, json_report, sig12, table_text
-from .sievefn import build_sieve_table, mertens_product
+from .sievefn import MERTENS_Z_BUDGET, build_sieve_table, mertens_product
 
 OUTPUT_DIR_ENV = "NEARSQ_OUTPUT_DIR"
 
@@ -158,8 +165,11 @@ def _cmd_sieve_fn(p: dict) -> dict:
 
 def _cmd_mertens(p: dict) -> dict:
     z = p["z"]
-    if not math.isfinite(z):  # checked before the prime table is sized from ceil(z)
+    # both checked before the prime table is sized from ceil(z)
+    if not math.isfinite(z):
         raise InvalidArgumentError(f"mertens product needs a finite z, got {z}")
+    if z > MERTENS_Z_BUDGET:
+        raise BudgetError(f"mertens product z = {z} exceeds the budget of {MERTENS_Z_BUDGET}")
     table = build_prime_table(max(int(math.ceil(z)), 2))
     m = mertens_product(z, table)
     # omit astronomically long exact strings from reports

@@ -85,17 +85,11 @@ def alpha_level(params: RegimeParams) -> Fraction:
 
 @dataclass(frozen=True)
 class DeltaRange:
-    """Half-open admissible interval for the closeness exponent, clipped to (0, 1/2).
-
-    ``raw_lo``/``raw_hi`` keep the unclipped bounds; consecutive orders tile
-    the raw axis exactly (raw_hi of order k equals raw_lo of order k+1).
-    """
+    """Half-open admissible interval for the closeness exponent, clipped to (0, 1/2)."""
 
     lo: Fraction
     hi: Fraction
     lo_inclusive: bool
-    raw_lo: Fraction
-    raw_hi: Fraction
 
     @property
     def is_empty(self) -> bool:
@@ -114,8 +108,6 @@ def delta_range(k: int, eta, beta) -> DeltaRange:
         lo=max(raw_lo, Fraction(0)),
         hi=min(raw_hi, _HALF),
         lo_inclusive=raw_lo > 0,
-        raw_lo=raw_lo,
-        raw_hi=raw_hi,
     )
 
 
@@ -130,7 +122,6 @@ class ConstantReport:
     k: int
     alpha: float
     sieve_argument: float
-    f_at_argument: float
     constant_value: float
 
 
@@ -144,13 +135,11 @@ def sieve_lower_constant(params: RegimeParams) -> ConstantReport:
             f"sieve argument {float(argument):.6g} is not above 2; lower density vanishes"
         )
     arg_f = float(argument)
-    f_val = lower_closed(arg_f)
-    constant = 2.0 * (k + 1) * math.exp(-EULER_GAMMA) * f_val
+    constant = 2.0 * (k + 1) * math.exp(-EULER_GAMMA) * lower_closed(arg_f)
     return ConstantReport(
         k=k,
         alpha=float(alpha),
         sieve_argument=arg_f,
-        f_at_argument=f_val,
         constant_value=constant,
     )
 

@@ -23,6 +23,7 @@ import numpy as np
 from .arith import PrimeTable
 from .errors import (
     AccuracyError,
+    BudgetError,
     CoverageError,
     InvalidArgumentError,
     RangeError,
@@ -32,6 +33,8 @@ from .quadrature import integrate
 EULER_GAMMA = 0.57721566490153286061  # 20 significant digits
 EXP_GAMMA = math.exp(EULER_GAMMA)
 CLOSED_FORM_TOL = 1e-12  # error budget of each closed-form integral
+SIEVE_GRID_BUDGET = 10**7  # grid points of a table: u_max = 10^4 at step 1e-3
+MERTENS_Z_BUDGET = 10**6  # largest z of an exact Mertens product
 
 
 def log_ratio(t):
@@ -137,12 +140,15 @@ class SieveFunctionTable:
 def build_sieve_table(
     u_max: float, step: float = 1e-3, tol: float = 1e-6
 ) -> SieveFunctionTable:
-    """Tabulate the density pair on [2, u_max].
+    """Tabulate the density pair on [2, u_max] at a step that divides 1.
 
-    Closed forms fill their validity ranges; beyond them u*upper and
-    u*lower are continued by trapezoidal marching of the delayed right-hand
-    sides over the already-built grid.  The marching error scales like
-    step**2, which is checked against ``tol`` up front.
+    Closed forms fill their validity ranges; beyond them u*upper and u*lower
+    are continued by adding, per grid cell, the integral of the delayed
+    function through a 4-point cubic stencil on the already-built grid.  The
+    delay is exactly 1/step cells, so a block of 1/step - 1 consecutive
+    points reads only earlier blocks and is marched as one array pass.  The
+    marching error scales like step**4, which is checked against ``tol`` up
+    front, and the grid is limited to ``SIEVE_GRID_BUDGET`` points.
     """
     if not 6.0 <= u_max < math.inf:
         raise InvalidArgumentError(f"u_max must be finite and at least 6, got {u_max}")
@@ -150,63 +156,44 @@ def build_sieve_table(
         raise InvalidArgumentError("step must lie in (0, 0.01]")
     if not 0.0 < tol < math.inf:
         raise InvalidArgumentError(f"tolerance must be positive and finite, got {tol}")
-    # grid-aligned delays march at 4th order; otherwise trapezoid with
-    # interpolated delays, which is only 2nd order
-    grid_aligned = abs(round(1.0 / step) - 1.0 / step) < 1e-9
-    est = (step**4 if grid_aligned else step**2 / 12.0) * (u_max - 2.0)
+    di = round(1.0 / step)  # the unit delay in grid cells
+    if abs(1.0 / step - di) >= 1e-9:
+        raise InvalidArgumentError(f"step must divide 1, got {step}")
+    est = step**4 * (u_max - 2.0)
     if est > tol:
         raise AccuracyError(
             f"step {step} too coarse for tolerance {tol} (error estimate {est:.3g})"
         )
-
     n = round((u_max - 2.0) / step)
+    if n + 1 > SIEVE_GRID_BUDGET:
+        raise BudgetError(f"{n + 1} grid points exceed the budget of {SIEVE_GRID_BUDGET}")
+
     u = 2.0 + np.arange(n + 1) * step
     u_max = float(u[-1])
-    # last grid points at or below u = 5 and u = 6, where the closed forms end
-    i5 = math.floor(3.0 / step + 1e-9)
-    i6 = math.floor(4.0 / step + 1e-9)
+    # grid points u = 5 and u = 6, where the closed forms end
+    i5, i6 = 3 * di, 4 * di
     upper_vals = np.empty(n + 1)
     lower_vals = np.empty(n + 1)
     upper_vals[: i5 + 1] = upper_closed(u[: i5 + 1])
     lower_vals[: i6 + 1] = lower_closed(u[: i6 + 1])
 
-    # continuation by marching (u*upper)' = lower(u-1), (u*lower)' = upper(u-1):
-    # each step adds the integral of the already-tabulated delayed function
-    # over one grid cell, through a 4-point cubic stencil when the delay is
-    # grid-aligned (4th order) and trapezoid with interpolation otherwise
-    delay = 1.0 / step
-    di = round(delay)
-    aligned = abs(di - delay) < 1e-9
-
-    def increment(values: np.ndarray, j: int) -> float:
-        if aligned:
-            i1 = j - di
-            return (
-                step
-                * (
-                    -values[i1 - 1]
-                    + 13.0 * values[i1]
-                    + 13.0 * values[i1 + 1]
-                    - values[i1 + 2]
-                )
-                / 24.0
-            )
-        lo_v = []
-        for jj in (j, j + 1):
-            pos = jj - delay
-            k = int(math.floor(pos))
-            frac = pos - k
-            lo_v.append(values[k] * (1.0 - frac) + values[k + 1] * frac)
-        return 0.5 * step * (lo_v[0] + lo_v[1])
+    def march(values: np.ndarray, delayed: np.ndarray, y: float, a: int, b: int) -> float:
+        # points a..b-1 of (u*values)' = delayed(u-1) from y = u*values at a-1;
+        # the cell into point J reads delayed[J-di-2 : J-di+2]
+        w = delayed[a - di - 2 : b - di + 1]
+        inc = step * (-w[:-3] + 13.0 * w[1:-2] + 13.0 * w[2:-1] - w[3:]) / 24.0
+        ys = np.add.accumulate(np.concatenate(([y], inc)))
+        values[a:b] = ys[1:] / u[a:b]
+        return ys[-1]
 
     y1 = u[i5] * upper_vals[i5]
     y2 = u[i6] * lower_vals[i6]
-    for j in range(i5, n):
-        y1 += increment(lower_vals, j)
-        upper_vals[j + 1] = y1 / u[j + 1]
-        if j + 1 > i6:
-            y2 += increment(upper_vals, j)
-            lower_vals[j + 1] = y2 / u[j + 1]
+    # a block of di - 1 points reads delayed values only up to its start - 1
+    for a in range(i5 + 1, n + 1, di - 1):
+        b = min(a + di - 1, n + 1)
+        y1 = march(upper_vals, lower_vals, y1, a, b)
+        if b > i6 + 1:
+            y2 = march(lower_vals, upper_vals, y2, max(a, i6 + 1), b)
 
     table = SieveFunctionTable(
         u_max=u_max,
@@ -263,6 +250,8 @@ def mertens_product(z: float, table: PrimeTable) -> MertensProduct:
     """prod_{p < z} (1 - 1/p) as an exact rational, plus e^{-gamma}/log z."""
     if not z >= 2:  # NaN fails too
         raise InvalidArgumentError(f"mertens product needs z >= 2, got {z}")
+    if z > MERTENS_Z_BUDGET:
+        raise BudgetError(f"mertens product z = {z} exceeds the budget of {MERTENS_Z_BUDGET}")
     if z > table.limit + 1:
         raise CoverageError(
             f"prime table limit {table.limit} does not reach all primes below {z}"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nearsq.arith import as_fraction, build_prime_table
-from nearsq.sievefn import EXP_GAMMA, build_sieve_table
+from nearsq.sievefn import EXP_GAMMA, build_sieve_table, lower_closed, upper_closed
 
 _GL64_NODES, _GL64_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
@@ -61,6 +61,36 @@ def table_22k():
 @pytest.fixture(scope="session")
 def sieve_table_10():
     return build_sieve_table(10.0, step=1e-3, tol=1e-6)
+
+
+def pointwise_march(u_max, step):
+    """The density pair on [2, u_max] marched one grid point at a time, the
+    oracle for the block march of ``build_sieve_table``: the closed forms up
+    to u = 5 and u = 6, then per cell the 4-point cubic stencil of the delayed
+    function, added to the running u*upper and u*lower."""
+    n = round((u_max - 2.0) / step)
+    di = round(1.0 / step)
+    u = 2.0 + np.arange(n + 1) * step
+    i5, i6 = 3 * di, 4 * di
+    upper = np.empty(n + 1)
+    lower = np.empty(n + 1)
+    upper[: i5 + 1] = upper_closed(u[: i5 + 1])
+    lower[: i6 + 1] = lower_closed(u[: i6 + 1])
+
+    def increment(values, j):
+        i1 = j - di
+        return step * (-values[i1 - 1] + 13.0 * values[i1] + 13.0 * values[i1 + 1]
+                       - values[i1 + 2]) / 24.0
+
+    y1 = u[i5] * upper[i5]
+    y2 = u[i6] * lower[i6]
+    for j in range(i5, n):
+        y1 += increment(lower, j)
+        upper[j + 1] = y1 / u[j + 1]
+        if j + 1 > i6:
+            y2 += increment(upper, j)
+            lower[j + 1] = y2 / u[j + 1]
+    return upper, lower
 
 
 def midpoint_rule(fn, a, b, n=10**6):

@@ -39,7 +39,7 @@ FUZZ_FLAGS = {
     "constant": {"--k": ["4", "5"], "--delta": ["0.0121", "0.05"], "--tol": ["1e-9", "1e-13"]},
     "threshold": {"--eta": ["1", "9/10"], "--beta": ["1", "0.8"],
                   "--delta": ["0", "1/20"], "--eps": ["0", "1/100"]},
-    "sieve-fn": {"--u-max": ["6", "8", "12"], "--step": ["1e-3", "2e-3", "0.01"],
+    "sieve-fn": {"--u-max": ["6", "8", "12"], "--step": ["1e-3", "2e-3", "0.01", "7e-4"],
                  "--tol": ["1e-6", "1e-3"], "--query": ["2.5", "5.5", "7"]},
     "mertens": {"--z": ["2", "10", "1e5"]},
     "sweep --target=constant": {"--k": ["4", "5"], "--delta-start": ["0.001", "0.05"],
@@ -389,6 +389,10 @@ class TestErrors:
         (["sweep", "--target", "residual", "--N-list", "100,abc"], 2),
         (["sweep", "--target", "residual", "--seeds", "1:2:3"], 2),
         (["sweep", "--target", "quadruples", "--sizes", "2,x"], 2),
+        (["sieve-fn", "--step", "7e-4"], 2),  # does not divide 1
+        (["sieve-fn", "--u-max", "5e5"], 4),  # 5 * 10^8 grid points
+        (["mertens", "--z", "1e300"], 4),
+        (["mertens", "--z", "2e6"], 4),
     ])
     def test_bad_number_exits_with_one_error_line(self, capsys, argv, code):
         got, out, err = run_cli(capsys, argv)

@@ -13,6 +13,7 @@ from nearsq.constants import (
     weighted_sieve_constant,
 )
 from nearsq.errors import InvalidArgumentError, RegimeError
+from nearsq.sievefn import lower_closed
 
 from conftest import gauss_legendre, nested_weighted_constant
 
@@ -108,8 +109,6 @@ class TestDeltaRange:
         assert delta_range(2, 1, 1).is_empty
 
     def test_consecutive_orders_tile_exactly(self):
-        for k in range(1, 20):
-            assert delta_range(k, 1, 1).raw_hi == delta_range(k + 1, 1, 1).raw_lo
         for k in range(7, 20):  # unclipped region for eta = beta = 1
             assert delta_range(k, 1, 1).hi == delta_range(k + 1, 1, 1).lo
 
@@ -124,12 +123,12 @@ class TestSieveLowerConstant:
         assert rep.k == 6
         assert rep.sieve_argument == pytest.approx(7 / 3, abs=1e-14)
         # f(7/3) = 2 e^gamma log(4/3) / (7/3); constant collapses to 12 log(4/3)
-        assert rep.f_at_argument == pytest.approx(0.4391850894806785, abs=1e-12)
+        assert lower_closed(rep.sieve_argument) == pytest.approx(0.4391850894806785, abs=1e-12)
         assert rep.constant_value == pytest.approx(12 * math.log(4 / 3), abs=1e-12)
 
     def test_documented_approximations(self):
         rep = sieve_lower_constant(RegimeParams(1, 1, 0))
-        assert rep.f_at_argument == pytest.approx(0.4391, abs=1e-4)
+        assert lower_closed(rep.sieve_argument) == pytest.approx(0.4391, abs=1e-4)
         assert rep.constant_value == pytest.approx(3.452, abs=1e-3)
 
     def test_argument_exactly_two_is_regime_error(self):

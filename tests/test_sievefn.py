@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,7 +6,13 @@ import numpy as np
 import pytest
 
 from nearsq.arith import build_prime_table
-from nearsq.errors import AccuracyError, CoverageError, InvalidArgumentError, RangeError
+from nearsq.errors import (
+    AccuracyError,
+    BudgetError,
+    CoverageError,
+    InvalidArgumentError,
+    RangeError,
+)
 from nearsq.sievefn import (
     EULER_GAMMA,
     EXP_GAMMA,
@@ -15,7 +22,7 @@ from nearsq.sievefn import (
     upper_closed,
 )
 
-from conftest import midpoint_rule, nested_lower
+from conftest import midpoint_rule, nested_lower, pointwise_march
 
 
 class TestClosedForms:
@@ -153,19 +160,24 @@ class TestTable:
 
     def test_interpolation_consistent_across_steps(self):
         t1 = build_sieve_table(8.0, step=1e-3, tol=1e-6)
-        # 7e-4 does not divide 1: the delay falls between grid points
-        for step in (2e-3, 7e-4):
-            t2 = build_sieve_table(8.0, step=step, tol=1e-6)
-            for u in (5.5, 6.283, 7.123):
-                assert t1.upper(u) == pytest.approx(t2.upper(u), abs=1e-6)
-                assert t1.lower(u) == pytest.approx(t2.lower(u), abs=1e-6)
+        t2 = build_sieve_table(8.0, step=2e-3, tol=1e-6)
+        for u in (5.5, 6.283, 7.123):
+            assert t1.upper(u) == pytest.approx(t2.upper(u), abs=1e-6)
+            assert t1.lower(u) == pytest.approx(t2.lower(u), abs=1e-6)
+
+    @pytest.mark.parametrize("u_max, step", [
+        *itertools.product((6.0, 6.5, 7.3, 12.0), (1e-3, 2e-3, 1 / 128, 0.01)),
+        (6.998, 1e-3),  # the last block of 999 points ends on the last grid point
+    ])
+    def test_block_march_equals_pointwise_march(self, u_max, step):
+        table = build_sieve_table(u_max, step=step, tol=1e-3)
+        upper, lower = pointwise_march(u_max, step)
+        assert np.array_equal(table.upper_values, upper)
+        assert np.array_equal(table.lower_values, lower)
 
     def test_step_too_coarse(self):
         with pytest.raises(AccuracyError):
             build_sieve_table(10.0, step=0.01, tol=1e-9)
-        with pytest.raises(AccuracyError):
-            # non-grid-aligned delay falls back to 2nd order marching
-            build_sieve_table(10.0, step=0.003, tol=1e-6)
 
     def test_validation_errors(self):
         with pytest.raises(InvalidArgumentError):
@@ -174,7 +186,9 @@ class TestTable:
             build_sieve_table(10.0, step=0.02)
         for u_max, step, tol in ((math.nan, 1e-3, 1e-6), (math.inf, 1e-3, 1e-6),
                                  (10.0, math.nan, 1e-6), (10.0, 1e-3, math.nan),
-                                 (10.0, 1e-3, math.inf), (10.0, 1e-3, 0.0)):
+                                 (10.0, 1e-3, math.inf), (10.0, 1e-3, 0.0),
+                                 # steps that do not divide 1
+                                 (8.0, 7e-4, 1e-6), (10.0, 0.003, 1e-6)):
             with pytest.raises(InvalidArgumentError):
                 build_sieve_table(u_max, step=step, tol=tol)
 
@@ -210,6 +224,10 @@ class TestMertens:
         table = build_prime_table(50)
         with pytest.raises(CoverageError):
             mertens_product(1000.0, table)
+
+    def test_z_budget(self, table_100k):
+        with pytest.raises(BudgetError):
+            mertens_product(2e6, table_100k)
 
     def test_invalid_z(self, table_100k):
         for z in (1.5, math.nan, -math.inf):
