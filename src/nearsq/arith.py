@@ -13,11 +13,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CoverageError, InvalidArgumentError
+from .errors import BudgetError, CoverageError, InvalidArgumentError
 
-SPF_LIMIT_DEFAULT = 10**7
-_SEGMENT = 1 << 20
-_TRIAL_CELLS = 1 << 16  # values x primes tested per trial-division block
+# a table of 2N + 2 for the largest N that count_near_squares accepts (4N^2 <= 2^53)
+PRIME_TABLE_BUDGET = 10**8
 
 
 def as_fraction(x) -> Fraction:
@@ -45,96 +44,51 @@ def as_fraction(x) -> Fraction:
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """All primes up to ``limit``, plus a smallest-prime-factor array when it fits.
+    """All primes up to ``limit`` and the smallest prime factor of every n <= limit.
 
     The table is immutable after construction and safe to share across
-    workers.  ``spf[n]`` is the smallest prime factor of n for 2 <= n <=
-    limit; it is only materialized when the limit fits the memory budget.
+    workers.  ``spf[n]`` (int32) is the smallest prime factor of n for
+    2 <= n <= limit.
     """
 
     limit: int
     primes: np.ndarray
-    spf: np.ndarray | None
+    spf: np.ndarray
 
     def __len__(self) -> int:
         return len(self.primes)
 
     def smallest_prime_factors(self, values) -> np.ndarray:
-        """Smallest prime factor of every entry (each >= 2) of ``values``.
-
-        A lookup in ``spf`` when it reaches the largest entry; otherwise
-        trial division by the table primes up to its square root, in blocks
-        of primes so that small arrays do not pay one pass per prime.
-        """
+        """Smallest prime factor of every entry (each in 2..limit) of ``values``."""
         values = np.asarray(values, dtype=np.int64)
-        if values.size == 0:
-            return values.copy()
-        if int(values.min()) < 2:
-            raise InvalidArgumentError("smallest prime factors need entries >= 2")
-        top = int(values.max())
-        if self.spf is not None and top <= self.limit:
-            return self.spf[values]
-        if self.limit * self.limit < top:
-            raise CoverageError(f"prime table limit {self.limit} cannot factor {top}")
-        primes = self.primes[: np.searchsorted(self.primes, math.isqrt(top), side="right")]
-        out = values.copy()  # entries without a prime factor up to their root are prime
-        pending = np.arange(values.size)
-        block = max(1, _TRIAL_CELLS // values.size)
-        for lo in range(0, len(primes), block):
-            ps = primes[lo : lo + block]
-            rest = values[pending]
-            hits = rest[:, None] % ps == 0
-            found = hits.any(axis=1)
-            out[pending[found]] = ps[hits[found].argmax(axis=1)]
-            pending = pending[~found & (rest > ps[-1] * ps[-1])]
-            if pending.size == 0:
-                break
-        return out
+        if values.size:
+            if values.min() < 2:
+                raise InvalidArgumentError("smallest prime factors need entries >= 2")
+            top = int(values.max())
+            if top > self.limit:
+                raise CoverageError(f"prime table limit {self.limit} cannot factor {top}")
+        return self.spf[values]
 
 
-def _dense_table(limit: int) -> PrimeTable:
-    spf = np.zeros(limit + 1, dtype=np.int64)
+def build_prime_table(limit: int) -> PrimeTable:
+    """Sieve the smallest prime factor of every n <= ``limit``.
+
+    Each prime p up to sqrt(limit) marks the multiples from p*p on that no
+    smaller prime has marked; the entries left unmarked are the primes.
+    Limits above ``PRIME_TABLE_BUDGET`` raise before anything is allocated.
+    """
+    if limit < 2:
+        raise InvalidArgumentError("prime table limit must be at least 2")
+    if limit > PRIME_TABLE_BUDGET:
+        raise BudgetError(f"prime table limit {limit} exceeds the budget of {PRIME_TABLE_BUDGET}")
+    spf = np.zeros(limit + 1, dtype=np.int32)
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == 0:
             sl = spf[p * p :: p]
             sl[sl == 0] = p
-    idx = np.arange(limit + 1, dtype=np.int64)
-    unmarked = (spf == 0) & (idx >= 2)
-    spf[unmarked] = idx[unmarked]
-    primes = idx[2:][spf[2:] == idx[2:]]
+    primes = np.flatnonzero(spf[2:] == 0) + 2
+    spf[primes] = primes
     return PrimeTable(limit=limit, primes=primes, spf=spf)
-
-
-def _segmented_primes(limit: int) -> np.ndarray:
-    base = _dense_table(math.isqrt(limit))
-    chunks = [base.primes]
-    lo = int(base.limit) + 1
-    while lo <= limit:
-        hi = min(lo + _SEGMENT, limit + 1)
-        seg = np.ones(hi - lo, dtype=bool)
-        for p in base.primes:
-            p = int(p)
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start >= hi:
-                continue
-            seg[start - lo :: p] = False
-        chunks.append(np.nonzero(seg)[0].astype(np.int64) + lo)
-        lo = hi
-    return np.concatenate(chunks)
-
-
-def build_prime_table(limit: int, spf_budget: int = SPF_LIMIT_DEFAULT) -> PrimeTable:
-    """Generate all primes up to ``limit``.
-
-    Below ``spf_budget`` a smallest-prime-factor array is kept for O(log n)
-    factorization; above it the primes are produced segment by segment and
-    factorization falls back to trial division by table primes.
-    """
-    if limit < 2:
-        raise InvalidArgumentError("prime table limit must be at least 2")
-    if limit <= spf_budget:
-        return _dense_table(limit)
-    return PrimeTable(limit=limit, primes=_segmented_primes(limit), spf=None)
 
 
 def prime_factor_steps(values, table: PrimeTable):

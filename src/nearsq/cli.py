@@ -45,6 +45,7 @@ from .errors import (
 )
 from .experiments import (
     almost_prime_count,
+    check_d_max,
     count_near_squares,
     generate_subset,
     main_term_dominant,
@@ -151,7 +152,8 @@ FORMATS = {
 
 def _cmd_sieve_fn(p: dict) -> dict:
     table = build_sieve_table(p["u_max"], step=p["step"], tol=p["tol"])
-    queries = p["query"] or [2.0, 3.0, 4.0, 5.0, 6.0, p["u_max"]]
+    # the last grid point, which lies within step/2 of the requested u_max
+    queries = p["query"] or [2.0, 3.0, 4.0, 5.0, 6.0, table.u_max]
     if p["dump_csv"]:
         table.dump_csv(p["dump_csv"])
     return {
@@ -278,8 +280,7 @@ def _cmd_experiment(p: dict) -> dict:
     # checked before any work: z = (3N)^(1/(k+1)) is undefined at k = -1
     if k < 0:
         raise InvalidArgumentError("almost-prime order k must be nonnegative")
-    if d_max < 1:
-        raise InvalidArgumentError("d_max must be at least 1")
+    check_d_max(d_max)
 
     nsc = count_near_squares(A, B, delta, max_pairs=p["max_pairs"])
     dec = sieve_decomposition(nsc, len(A), len(B), d_max)

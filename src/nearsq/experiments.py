@@ -19,6 +19,7 @@ from .arith import PrimeTable, as_fraction, near_square_roots, prime_factor_step
 from .errors import BudgetError, InvalidArgumentError
 
 PAIR_BUDGET_DEFAULT = 10**9
+D_MAX_BUDGET = 10**5  # largest d_max of sieve_decomposition: one exact remainder per d
 CELLS = 1 << 14  # products decided per block of the pair pass
 _PROVENANCES = ("full", "bernoulli", "explicit", "adversarial-spread")
 
@@ -321,12 +322,19 @@ class SieveDecomposition:
         return max(float(abs(d * self.remainders[d] / self.X)) for d in ds)
 
 
+def check_d_max(d_max: int) -> None:
+    """Reject a divisor range that is empty or over ``D_MAX_BUDGET``."""
+    if d_max < 1:
+        raise InvalidArgumentError("d_max must be at least 1")
+    if d_max > D_MAX_BUDGET:
+        raise BudgetError(f"d_max = {d_max} exceeds the budget of {D_MAX_BUDGET}")
+
+
 def sieve_decomposition(
     nsc: NearSquareCount, A_size: int, B_size: int, d_max: int
 ) -> SieveDecomposition:
     """Bucket the rounded-value multiset by divisibility for every d <= d_max."""
-    if d_max < 1:
-        raise InvalidArgumentError("d_max must be at least 1")
+    check_d_max(d_max)
     X = 2 * nsc.delta * A_size * B_size
     counts: dict[int, int] = {}
     remainders: dict[int, Fraction] = {}

@@ -216,9 +216,12 @@ def _validate_table(table: SieveFunctionTable) -> None:
         raise AccuracyError("lower density samples are not non-decreasing")
     if not np.all(up - lo > -1e-11):
         raise AccuracyError("upper-lower positivity gap failed on the grid")
-    tail = table.grid >= 6.0 - 1e-12
-    if np.any(np.abs(up[tail] - 1.0) > 0.05) or np.any(np.abs(lo[tail] - 1.0) > 0.05):
-        raise AccuracyError("density samples drift from 1 beyond u = 6")
+    # u = 6 is grid point 4/step, since the step divides 1; x - 1 rounds
+    # monotonically in x, so the extremes decide |x - 1| > 0.05 for the tail
+    i6 = round(4.0 / table.grid_step)
+    for tail in (up[i6:], lo[i6:]):
+        if tail.max() - 1.0 > 0.05 or 1.0 - tail.min() > 0.05:
+            raise AccuracyError("density samples drift from 1 beyond u = 6")
 
 
 def _balanced_product(values: list[int]) -> int:

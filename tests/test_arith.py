@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearsq.arith import (
+    PRIME_TABLE_BUDGET,
     as_fraction,
     build_prime_table,
     near_square_roots,
     prime_factor_steps,
 )
-from nearsq.errors import CoverageError, InvalidArgumentError
+from nearsq.errors import BudgetError, CoverageError, InvalidArgumentError
 
 from conftest import factor_signature
 
@@ -36,6 +38,16 @@ def step_signatures(values, table):
         prev[index] = p
     mu = np.where(square, 0, (-1) ** nu)
     return list(zip(omega.tolist(), nu.tolist(), mu.tolist(), tau.tolist()))
+
+
+def trial_division_spf(limit):
+    """Oracle: spf[n] for 2 <= n <= limit as the least d >= 2 dividing n, by
+    trial division with every d up to sqrt(limit); n with none is prime."""
+    n = np.arange(limit + 1)
+    spf = n.copy()
+    for d in range(math.isqrt(limit), 1, -1):
+        spf[(n % d == 0) & (n > d)] = d
+    return spf
 
 
 def oracle_signature(n):
@@ -65,12 +77,6 @@ class TestPrimeTable:
         oracle = int(np.count_nonzero(~composite[2:]))
         assert len(table.primes) == oracle == 78498
 
-    def test_segmented_generation_matches_dense(self):
-        dense = build_prime_table(2 * 10**6)
-        segmented = build_prime_table(2 * 10**6, spf_budget=10**5)
-        assert segmented.spf is None
-        assert np.array_equal(dense.primes, segmented.primes)
-
     def test_spf_divides_and_is_minimal(self, table_100k):
         spf = table_100k.spf
         for n in range(2, 5000):
@@ -79,16 +85,34 @@ class TestPrimeTable:
             for q in range(2, p):
                 assert n % q != 0
 
+    def test_trial_division_matches_spf(self):
+        # 99_999 and 9_998 are not perfect squares; 9_409 = 97^2 ends on a
+        # prime square, so the sieve's last prime is isqrt(limit) itself
+        for limit in (99_999, 9_998, 9_409):
+            table = build_prime_table(limit)
+            oracle = trial_division_spf(limit)
+            assert table.spf.dtype == np.int32
+            assert np.array_equal(table.spf[2:], oracle[2:])
+            assert np.array_equal(table.primes, np.flatnonzero(oracle == np.arange(limit + 1))[2:])
+            assert np.array_equal(table.smallest_prime_factors(np.arange(2, limit + 1)), oracle[2:])
 
-    def test_trial_division_matches_spf(self, table_100k):
-        values = np.arange(2, 100_001)
-        trial = build_prime_table(100_000, spf_budget=1000)
-        assert np.array_equal(trial.smallest_prime_factors(values), table_100k.spf[2:])
-        assert trial.smallest_prime_factors([]).size == 0
+    def test_lookup_edges(self, table_100k):
+        assert table_100k.smallest_prime_factors([]).size == 0
         with pytest.raises(InvalidArgumentError):
-            trial.smallest_prime_factors([1, 4])
+            table_100k.smallest_prime_factors([1, 4])
+        assert table_100k.smallest_prime_factors([100_000]).tolist() == [2]
         with pytest.raises(CoverageError):
-            trial.smallest_prime_factors([100_003 * 100_019])
+            table_100k.smallest_prime_factors([4, 100_001])
+
+    def test_budget_raises_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError):
+                build_prime_table(PRIME_TABLE_BUDGET + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestFactorSignature:
@@ -105,11 +129,6 @@ class TestFactorSignature:
         values = range(1, 10**5 + 1)
         assert step_signatures(values, table_100k) == [oracle_signature(n) for n in values]
 
-    def test_trial_division_path_beyond_spf(self):
-        table = build_prime_table(2 * 10**6, spf_budget=10**4)
-        values = [999_983 * 2, 999_983 * 999_979, 2**39, 3**25, 10**12 - 11]
-        assert step_signatures(values, table) == [oracle_signature(n) for n in values]
-
     def test_coverage_error(self):
         table = build_prime_table(10)
         with pytest.raises(CoverageError):
@@ -120,7 +139,7 @@ class TestFactorSignature:
     def test_multiplicativity_on_coprime_pairs(self, m, n):
         if math.gcd(m, n) != 1:
             return
-        table = build_prime_table(5000)
+        table = build_prime_table(m * n)
         sm, sn, smn = step_signatures([m, n, m * n], table)
         assert smn[3] == sm[3] * sn[3]  # tau
         assert smn[2] == sm[2] * sn[2]  # mu

@@ -111,6 +111,18 @@ class TestConstant:
         assert "error:" in err
 
 
+class TestSieveFn:
+    def test_default_queries_end_at_the_last_grid_point(self, capsys):
+        # the grid at step 1/128 ends at 7.296875, just below the requested 7.3
+        code, out, err = run_cli(capsys, [
+            "sieve-fn", "--u-max", "7.3", "--step", "0.0078125", "--tol", "1e-3",
+        ])
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["u_max"] == 7.296875
+        assert [v["u"] for v in doc["values"]] == [2.0, 3.0, 4.0, 5.0, 6.0, 7.296875]
+
+
 class TestDeterminism:
     def test_experiment_byte_identical(self, capsys):
         argv = [
@@ -393,6 +405,7 @@ class TestErrors:
         (["sieve-fn", "--u-max", "5e5"], 4),  # 5 * 10^8 grid points
         (["mertens", "--z", "1e300"], 4),
         (["mertens", "--z", "2e6"], 4),
+        (["experiment", "--N", "100", "--d-max", "100001"], 4),  # over D_MAX_BUDGET
     ])
     def test_bad_number_exits_with_one_error_line(self, capsys, argv, code):
         got, out, err = run_cli(capsys, argv)

@@ -436,7 +436,7 @@ class TestWeightedSum:
 
 
 class TestFactorPass:
-    """Both lookups behind PrimeTable.smallest_prime_factors give one answer."""
+    """The one lookup behind PrimeTable.smallest_prime_factors against trial division."""
 
     @given(
         st.integers(2, 20_000),
@@ -446,34 +446,31 @@ class TestFactorPass:
     )
     @settings(max_examples=80, deadline=None)
     def test_spf_and_trial_division_agree_with_oracles(self, N, spots, k, z):
-        roots = [N + int(x * (N + 1)) for x in spots]  # in [N, 2N + 1]
+        roots = [N + int(x * (N + 2)) for x in spots]  # in [N, 2N + 2], the table's top edge
         nsc = roots_count(N, roots)
-        L = 2 * N + 2
-        dense, trial = build_prime_table(L), build_prime_table(L, spf_budget=L // 100)
-        assert dense.spf is not None and trial.spf is None
+        table = build_prime_table(2 * N + 2)
         values = rounded_values(nsc)
         factors = {l: trial_prime_factors(l) for l, _ in values}
         sifted = sum(m for l, m in values if factors[l][0] >= z)
         almost = [(l, m) for l, m in values if len(factors[l]) <= k]
-        for table in (dense, trial):
-            assert sifting_function(nsc, z, table) == sifted
-            ap = almost_prime_count(nsc, k, table)
-            assert ap.multiset_count == sum(m for _, m in almost)
-            assert ap.distinct_count == len(almost)
-            for squarefree_only in (False, True):
-                assert weighted_sum(nsc, k, table, squarefree_only) == weighted_oracle(
-                    values, N, k, squarefree_only
-                )
+        assert sifting_function(nsc, z, table) == sifted
+        ap = almost_prime_count(nsc, k, table)
+        assert ap.multiset_count == sum(m for _, m in almost)
+        assert ap.distinct_count == len(almost)
+        for squarefree_only in (False, True):
+            assert weighted_sum(nsc, k, table, squarefree_only) == weighted_oracle(
+                values, N, k, squarefree_only
+            )
 
     def test_coverage_error_beyond_limit_squared(self):
         nsc = roots_count(100, [101])  # 101 > 10**2
-        for table in (build_prime_table(10), build_prime_table(10, spf_budget=5)):
-            with pytest.raises(CoverageError):
-                sifting_function(nsc, 3.0, table)
-            with pytest.raises(CoverageError):
-                almost_prime_count(nsc, 6, table)
-            with pytest.raises(CoverageError):
-                weighted_sum(nsc, 4, table)
+        table = build_prime_table(10)
+        with pytest.raises(CoverageError):
+            sifting_function(nsc, 3.0, table)
+        with pytest.raises(CoverageError):
+            almost_prime_count(nsc, 6, table)
+        with pytest.raises(CoverageError):
+            weighted_sum(nsc, 4, table)
 
 
 class TestResidual:
