@@ -55,9 +55,6 @@ class PrimeTable:
     primes: np.ndarray
     spf: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.primes)
-
     def smallest_prime_factors(self, values) -> np.ndarray:
         """Smallest prime factor of every entry (each in 2..limit) of ``values``."""
         values = np.asarray(values, dtype=np.int64)

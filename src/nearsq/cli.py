@@ -175,7 +175,7 @@ def _cmd_mertens(p: dict) -> dict:
     table = build_prime_table(max(int(math.ceil(z)), 2))
     m = mertens_product(z, table)
     # omit astronomically long exact strings from reports
-    exact = fraction_str(m.exact) if m.exact.denominator.bit_length() <= 256 else None
+    exact = f"{m.numerator}/{m.denominator}" if m.denominator.bit_length() <= 256 else None
     return {
         "z": m.z,
         "product": m.value,

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import PrimeTable
+from .arith import PrimeTable, prime_factor_steps
 from .errors import (
     AccuracyError,
     BudgetError,
@@ -35,6 +35,7 @@ EXP_GAMMA = math.exp(EULER_GAMMA)
 CLOSED_FORM_TOL = 1e-12  # error budget of each closed-form integral
 SIEVE_GRID_BUDGET = 10**7  # grid points of a table: u_max = 10^4 at step 1e-3
 MERTENS_Z_BUDGET = 10**6  # largest z of an exact Mertens product
+_SLICE = 2**16  # grid points per slice of the march grid and of the table checks
 
 
 def log_ratio(t):
@@ -168,35 +169,45 @@ def build_sieve_table(
     if n + 1 > SIEVE_GRID_BUDGET:
         raise BudgetError(f"{n + 1} grid points exceed the budget of {SIEVE_GRID_BUDGET}")
 
-    u = 2.0 + np.arange(n + 1) * step
-    u_max = float(u[-1])
+    def grid(a: int, b: int) -> np.ndarray:
+        return 2.0 + np.arange(a, b) * step  # grid points a..b-1
+
     # grid points u = 5 and u = 6, where the closed forms end
     i5, i6 = 3 * di, 4 * di
     upper_vals = np.empty(n + 1)
     lower_vals = np.empty(n + 1)
+    u = grid(0, i6 + 1)
     upper_vals[: i5 + 1] = upper_closed(u[: i5 + 1])
-    lower_vals[: i6 + 1] = lower_closed(u[: i6 + 1])
+    lower_vals[: i6 + 1] = lower_closed(u)
 
-    def march(values: np.ndarray, delayed: np.ndarray, y: float, a: int, b: int) -> float:
-        # points a..b-1 of (u*values)' = delayed(u-1) from y = u*values at a-1;
-        # the cell into point J reads delayed[J-di-2 : J-di+2]
+    def march(
+        values: np.ndarray, delayed: np.ndarray, y: float, a: int, b: int, ub: np.ndarray
+    ) -> float:
+        # points a..b-1, at grid values ub, of (u*values)' = delayed(u-1) from
+        # y = u*values at a-1; the cell into point J reads delayed[J-di-2 : J-di+2]
         w = delayed[a - di - 2 : b - di + 1]
         inc = step * (-w[:-3] + 13.0 * w[1:-2] + 13.0 * w[2:-1] - w[3:]) / 24.0
         ys = np.add.accumulate(np.concatenate(([y], inc)))
-        values[a:b] = ys[1:] / u[a:b]
+        values[a:b] = ys[1:] / ub
         return ys[-1]
 
     y1 = u[i5] * upper_vals[i5]
     y2 = u[i6] * lower_vals[i6]
-    # a block of di - 1 points reads delayed values only up to its start - 1
-    for a in range(i5 + 1, n + 1, di - 1):
-        b = min(a + di - 1, n + 1)
-        y1 = march(upper_vals, lower_vals, y1, a, b)
-        if b > i6 + 1:
-            y2 = march(lower_vals, upper_vals, y2, max(a, i6 + 1), b)
+    # a block of di - 1 points reads delayed values only up to its start - 1;
+    # the grid is taken a chunk of whole blocks at a time, so no full-length
+    # grid sits beside the two value arrays
+    chunk = (di - 1) * max(1, _SLICE // (di - 1))
+    for c in range(i5 + 1, n + 1, chunk):
+        u = grid(c, min(c + chunk, n + 1))
+        for a in range(c, c + len(u), di - 1):
+            b = min(a + di - 1, n + 1)
+            y1 = march(upper_vals, lower_vals, y1, a, b, u[a - c : b - c])
+            if b > i6 + 1:
+                a6 = max(a, i6 + 1)
+                y2 = march(lower_vals, upper_vals, y2, a6, b, u[a6 - c : b - c])
 
     table = SieveFunctionTable(
-        u_max=u_max,
+        u_max=2.0 + n * step,
         grid_step=step,
         upper_values=upper_vals,
         lower_values=lower_vals,
@@ -210,11 +221,15 @@ def _validate_table(table: SieveFunctionTable) -> None:
     # so monotonicity and the positivity gap are enforced up to that floor
     noise = 1e-12
     up, lo = table.upper_values, table.lower_values
-    if not np.all(np.diff(up) < noise):
+    # checked in slices (overlapping by one point for the steps), so no
+    # full-length temporary sits beside the two value arrays
+    starts = range(0, len(up), _SLICE)
+    if not all(np.all(np.diff(up[s : s + _SLICE + 1]) < noise) for s in starts):
         raise AccuracyError("upper density samples are not strictly decreasing")
-    if not np.all(np.diff(lo) >= -noise):
+    if not all(np.all(np.diff(lo[s : s + _SLICE + 1]) >= -noise) for s in starts):
         raise AccuracyError("lower density samples are not non-decreasing")
-    if not np.all(up - lo > -1e-11):
+    gap = (up[s : s + _SLICE] - lo[s : s + _SLICE] for s in starts)
+    if not all(np.all(g > -1e-11) for g in gap):
         raise AccuracyError("upper-lower positivity gap failed on the grid")
     # u = 6 is grid point 4/step, since the step divides 1; x - 1 rounds
     # monotonically in x, so the extremes decide |x - 1| > 0.05 for the tail
@@ -237,12 +252,22 @@ def _balanced_product(values: list[int]) -> int:
 
 @dataclass(frozen=True)
 class MertensProduct:
-    """Exact product of (1 - 1/p) over primes below z, with its asymptotic companion."""
+    """Exact product of (1 - 1/p) over primes below z, with its asymptotic companion.
+
+    ``numerator`` and ``denominator`` are coprime, so they are the product in
+    lowest terms; ``value`` is their correctly rounded quotient.
+    """
 
     z: float
-    exact: Fraction
+    numerator: int
+    denominator: int
     value: float
     asymptotic: float  # e^{-gamma} / log z
+
+    @property
+    def exact(self) -> Fraction:
+        """The product as a Fraction; its constructor takes the gcd mertens_product avoids."""
+        return Fraction(self.numerator, self.denominator)
 
     @property
     def ratio(self) -> float:
@@ -250,7 +275,13 @@ class MertensProduct:
 
 
 def mertens_product(z: float, table: PrimeTable) -> MertensProduct:
-    """prod_{p < z} (1 - 1/p) as an exact rational, plus e^{-gamma}/log z."""
+    """prod_{p < z} (1 - 1/p) in lowest terms, plus e^{-gamma}/log z.
+
+    The denominator prod p is squarefree, so the fraction reduces prime by
+    prime: with e_q the exponent of q in prod (p - 1), the numerator is
+    prod q^(e_q - 1) over the q with e_q >= 1 and the denominator is the
+    product of the primes q < z with e_q = 0.  No gcd is taken.
+    """
     if not z >= 2:  # NaN fails too
         raise InvalidArgumentError(f"mertens product needs z >= 2, got {z}")
     if z > MERTENS_Z_BUDGET:
@@ -259,13 +290,17 @@ def mertens_product(z: float, table: PrimeTable) -> MertensProduct:
         raise CoverageError(
             f"prime table limit {table.limit} does not reach all primes below {z}"
         )
-    ps = [int(p) for p in table.primes[table.primes < z]]
-    num = _balanced_product([p - 1 for p in ps])
-    den = _balanced_product(list(ps))
-    exact = Fraction(num, den)
+    ps = table.primes[: np.searchsorted(table.primes, z)]  # the primes below z
+    e = np.zeros(len(ps), dtype=np.int64)  # e[i]: exponent of ps[i] in prod (p - 1)
+    for _, q in prime_factor_steps(ps - 1, table):
+        np.add.at(e, np.searchsorted(ps, q), 1)  # every q divides some p - 1 < z
+    in_num = e > 1
+    num = _balanced_product([q**k for q, k in zip(ps[in_num].tolist(), (e[in_num] - 1).tolist())])
+    den = _balanced_product(ps[e == 0].tolist())
     return MertensProduct(
         z=float(z),
-        exact=exact,
-        value=float(exact),
+        numerator=num,
+        denominator=den,
+        value=num / den,
         asymptotic=math.exp(-EULER_GAMMA) / math.log(z),
     )

@@ -3,11 +3,13 @@ import io
 import json
 import os
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nearsq.arith import build_prime_table
 from nearsq.cli import RunConfig, build_parser, dispatch, main
 from nearsq.errors import EXIT_CODES
 from nearsq.experiments import count_near_squares, generate_subset, sieve_decomposition
@@ -121,6 +123,22 @@ class TestSieveFn:
         doc = json.loads(out)
         assert doc["u_max"] == 7.296875
         assert [v["u"] for v in doc["values"]] == [2.0, 3.0, 4.0, 5.0, 6.0, 7.296875]
+
+
+class TestMertens:
+    def test_exact_string_up_to_256_denominator_bits(self, capsys):
+        # the primes below 251 give a 253-bit denominator, adding 251 gives 261
+        code, out, _ = run_cli(capsys, ["mertens", "--z", "251"])
+        assert code == 0
+        num = den = 1
+        for p in build_prime_table(250).primes.tolist():
+            num, den = num * (p - 1), den * p
+        exact = Fraction(num, den)
+        assert exact.denominator.bit_length() == 253
+        assert json.loads(out)["product_exact"] == f"{exact.numerator}/{exact.denominator}"
+        code, out, _ = run_cli(capsys, ["mertens", "--z", "252"])
+        assert code == 0
+        assert json.loads(out)["product_exact"] is None
 
 
 class TestDeterminism:

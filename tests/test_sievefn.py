@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,8 +16,10 @@ from nearsq.errors import (
     RangeError,
 )
 from nearsq.sievefn import (
+    _SLICE,
     EULER_GAMMA,
     EXP_GAMMA,
+    _validate_table,
     build_sieve_table,
     lower_closed,
     mertens_product,
@@ -168,12 +172,42 @@ class TestTable:
     @pytest.mark.parametrize("u_max, step", [
         *itertools.product((6.0, 6.5, 7.3, 12.0), (1e-3, 2e-3, 1 / 128, 0.01)),
         (6.998, 1e-3),  # the last block of 999 points ends on the last grid point
+        (150.0, 1e-3),  # three grid chunks of whole blocks
     ])
     def test_block_march_equals_pointwise_march(self, u_max, step):
         table = build_sieve_table(u_max, step=step, tol=1e-3)
         upper, lower = pointwise_march(u_max, step)
         assert np.array_equal(table.upper_values, upper)
         assert np.array_equal(table.lower_values, lower)
+
+    def test_build_keeps_no_full_length_temporary(self):
+        # 10^6 + 1 points: a full-length grid or np.diff temporary would add
+        # 8 MB beside the two 8 MB value arrays; the closed forms' quadrature
+        # peaks at 3.3 MB whatever u_max is
+        tracemalloc.start()
+        try:
+            table = build_sieve_table(1002.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * table.upper_values.nbytes + (4 << 20)
+
+    def test_validation_reads_across_slice_boundaries(self):
+        table = build_sieve_table(150.0)  # 148,001 points, three slices
+        assert len(table.upper_values) > 2 * _SLICE
+        _validate_table(table)
+        for i in (_SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE):
+            up, lo = table.upper_values.copy(), table.lower_values.copy()
+            up[i] = up[i - 1] + 1e-11
+            with pytest.raises(AccuracyError, match="upper density samples"):
+                _validate_table(dataclasses.replace(table, upper_values=up))
+            lo[i] = lo[i - 1] - 1e-11
+            with pytest.raises(AccuracyError, match="lower density samples"):
+                _validate_table(dataclasses.replace(table, lower_values=lo))
+            lo = table.lower_values.copy()
+            lo[i:] += 1e-10  # still non-decreasing, but above upper at the tail
+            with pytest.raises(AccuracyError, match="positivity gap"):
+                _validate_table(dataclasses.replace(table, lower_values=lo))
 
     def test_step_too_coarse(self):
         with pytest.raises(AccuracyError):
@@ -233,6 +267,30 @@ class TestMertens:
         for z in (1.5, math.nan, -math.inf):
             with pytest.raises(InvalidArgumentError):
                 mertens_product(z, table_100k)
+
+    @staticmethod
+    def _oracle(z, table) -> Fraction:
+        # the route without cancellation: one gcd over the two full products
+        num = den = 1
+        for p in table.primes[table.primes < z].tolist():
+            num, den = num * (p - 1), den * p
+        return Fraction(num, den)
+
+    def test_lowest_terms_against_the_gcd_route(self, table_100k):
+        primes = (2, 3, 5, 7, 251, 1999, 7919)
+        zs = [*range(2, 2001), 2.5, *(p + 0.5 for p in primes)]
+        for z in zs:
+            m = mertens_product(float(z), table_100k)
+            assert math.gcd(m.numerator, m.denominator) == 1, z
+            assert m.exact == self._oracle(z, table_100k), z
+            assert m.value == float(m.exact), z
+
+    def test_lowest_terms_at_200k(self):
+        table = build_prime_table(200_000)
+        m = mertens_product(2e5, table)
+        exact = self._oracle(2e5, table)
+        assert (m.numerator, m.denominator) == (exact.numerator, exact.denominator)
+        assert m.value == float(exact)
 
     def test_asymptotic_convergence(self, table_100k):
         devs = []
