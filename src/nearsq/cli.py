@@ -53,7 +53,13 @@ from .experiments import (
     sieve_decomposition,
     sifting_function,
 )
-from .expsum import bilinear_sum_check, build_sawtooth_approximation, pair_count, quadruple_count
+from .expsum import (
+    TERM_BUDGET,
+    bilinear_sum_check,
+    build_sawtooth_approximation,
+    pair_count,
+    quadruple_count,
+)
 from .reports import csv_text, fraction_str, json_report, sig12, table_text
 from .sievefn import MERTENS_Z_BUDGET, build_sieve_table, mertens_product
 
@@ -230,6 +236,9 @@ def _cmd_psi_approx(p: dict) -> dict:
     H, grid_points = p["H"], p["grid_points"]
     if grid_points < 1:
         raise InvalidArgumentError("psi-approx needs at least one grid point")
+    # main_term and error_kernel each build a grid_points x H matrix
+    if grid_points * H > TERM_BUDGET:
+        raise BudgetError(f"{grid_points * H} sawtooth cells exceed the budget of {TERM_BUDGET}")
     approx = build_sawtooth_approximation(H)
     t = (np.arange(grid_points) + 0.5) / grid_points
     saw = t - np.floor(t) - 0.5
@@ -406,7 +415,7 @@ def _bilinear_row(args) -> list:
 def _parallel_map(fn, args, threads: int) -> list:
     if threads <= 1 or len(args) <= 1:
         return [fn(a) for a in args]
-    with Pool(processes=threads) as pool:
+    with Pool(processes=min(threads, len(args))) as pool:
         return pool.map(fn, args)  # ordered, deterministic merge
 
 

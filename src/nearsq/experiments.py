@@ -20,25 +20,22 @@ from .errors import BudgetError, InvalidArgumentError
 
 PAIR_BUDGET_DEFAULT = 10**9
 D_MAX_BUDGET = 10**5  # largest d_max of sieve_decomposition: one exact remainder per d
-CELLS = 1 << 14  # products decided per block of the pair pass
-_PROVENANCES = ("full", "bernoulli", "explicit", "adversarial-spread")
+TILE = 128  # side of the square tiles of the pair pass when A = B
+CELLS = TILE * TILE  # products decided per tile of the pair pass
 
 
 @dataclass(frozen=True)
 class IntervalSubset:
-    """Finite subset of (N, 2N] with its generation provenance."""
+    """Finite subset of (N, 2N]."""
 
     base_N: int
     elements: np.ndarray
-    provenance: str
 
     def __post_init__(self):
         els = np.asarray(self.elements, dtype=np.int64)
         object.__setattr__(self, "elements", els)
         if self.base_N < 2:
             raise InvalidArgumentError("base_N must be at least 2")
-        if self.provenance not in _PROVENANCES:
-            raise InvalidArgumentError(f"unknown provenance {self.provenance!r}")
         if len(els) == 0:
             return
         if els[0] <= self.base_N or els[-1] > 2 * self.base_N:
@@ -69,7 +66,7 @@ def generate_subset(
         raise InvalidArgumentError("base_N must be at least 2")
     window = np.arange(base_N + 1, 2 * base_N + 1, dtype=np.int64)
     if kind == "full":
-        return IntervalSubset(base_N, window, "full")
+        return IntervalSubset(base_N, window)
     if kind == "bernoulli":
         if density is None or not 0.0 < density <= 1.0:
             raise InvalidArgumentError("bernoulli density must lie in (0, 1]")
@@ -77,17 +74,17 @@ def generate_subset(
             raise InvalidArgumentError("seed must be nonnegative")
         rng = np.random.default_rng(seed)
         mask = rng.random(len(window)) < density
-        return IntervalSubset(base_N, window[mask], "bernoulli")
+        return IntervalSubset(base_N, window[mask])
     if kind == "adversarial-spread":
         roots = np.sqrt(window.astype(np.float64))
         l = np.rint(roots).astype(np.int64)
         keep = (16 * window <= (4 * l - 1) ** 2) | (16 * window >= (4 * l + 1) ** 2)
-        return IntervalSubset(base_N, window[keep], "adversarial-spread")
+        return IntervalSubset(base_N, window[keep])
     if kind == "explicit":
         if elements is None:
             raise InvalidArgumentError("explicit subsets need an element list")
         els = np.unique(np.asarray(sorted(elements), dtype=np.int64))
-        return IntervalSubset(base_N, els, "explicit")
+        return IntervalSubset(base_N, els)
     raise InvalidArgumentError(f"unknown subset kind {kind!r}")
 
 
@@ -124,33 +121,18 @@ class NearSquareCount:
         return self.A_size * self.B_size
 
 
-def _empty_count(delta: Fraction, base_N: int, a_size: int, b_size: int) -> NearSquareCount:
-    size = base_N + 4
-    return NearSquareCount(
-        delta=delta,
-        base_N=base_N,
-        A_size=a_size,
-        B_size=b_size,
-        H_count=0,
-        multiplicities=np.zeros(size, dtype=np.int64),
-        l_offset=base_N - 1,
-        distinct_count=0,
-        boundary_margin=math.inf,
-        exact_fallbacks=0,
-    )
-
-
 class _PairPass:
-    """Certified window decisions on flat blocks of products ``a*b``.
+    """Certified window decisions on tiles of products ``a*b``.
 
-    Every decision and every margin depends on the product alone.  The work
-    buffers are allocated once, for the largest block, and each block is
-    computed into them with ufunc ``out=``: fresh O(block) temporaries per
-    block made the pass 1.5-2x slower in a fresh process, where glibc trims
-    and re-faults its heap on every block, and an O(N) ``bincount`` per block
+    Every decision and every margin depends on the product alone, so a tile
+    is decided as one flat array, each hit adding the tile's weight.  The
+    work buffers are allocated once, for the largest tile, and each tile is
+    computed into them with ufunc ``out=``: fresh O(tile) temporaries per
+    tile made the pass 1.5-2x slower in a fresh process, where glibc trims
+    and re-faults its heap on every tile, and an O(N) ``bincount`` per tile
     raised peak memory on sparse sets by 9%.  Hits are gathered with
     ``np.compress`` into a buffer and scattered with ``np.add.at``; the index
-    list that ``np.compress`` builds internally is the one per-block
+    list that ``np.compress`` builds internally is the one per-tile
     temporary.
     """
 
@@ -246,14 +228,16 @@ def count_near_squares(
     integer arithmetic.  Values 1/2 < delta < 1 are supported; a pair may
     then contribute two rounded values, and H_count counts incidences.
 
-    The pairs are decided in blocks of ``CELLS // |B|`` rows of A (at least
-    one, at most |B|), each a flat block of products.  When A and B hold the
-    same elements, a pair and its mirror have the same product, hence the
-    same decisions, roots and margin: each row block then meets only the b
-    at or after its first a, with weight 2, and one closing pass over the
-    blocks' lower triangles and the diagonal takes weights -2 and -1.  The
-    work buffers are allocated once per call, not per block (see
-    ``_PairPass``).
+    The pairs are decided in tiles of the product matrix, each of at most
+    ``CELLS`` products.  For distinct sets a tile is ``CELLS // cols`` rows of
+    A against ``cols = min(|B|, CELLS)`` consecutive elements of B, so a row
+    longer than ``CELLS`` is cut.  When A and B hold the same elements, a
+    pair and its mirror have the same product, hence the same decisions,
+    roots and margin: the tiles are then ``TILE x TILE`` squares on and above
+    the diagonal.  A square above it stands in for its mirror too and takes
+    weight 2; a square on it holds each of its pairs and their mirrors, and
+    takes weight 1.  The work buffers are allocated once per call, not per
+    tile (see ``_PairPass``).
     """
     if A.base_N != B.base_N:
         raise InvalidArgumentError("both subsets must share the same base N")
@@ -267,43 +251,38 @@ def count_near_squares(
     N = A.base_N
     if 4 * N * N > 2**53:
         raise BudgetError("products exceed the exact float-filter range")
-    out = _empty_count(delta, N, len(A), len(B))
-    if n_pairs == 0:
-        return out
-
+    # every root of a product in (N^2, 4N^2], and its far neighbour, lies in
+    # N - 1 .. 2N + 2
+    counts, off = np.zeros(N + 4, dtype=np.int64), N - 1
     # below 2**53 every product of two elements is exact in float64
     a_f = A.elements.astype(np.float64)
     b_f = B.elements.astype(np.float64)
-    n = len(b_f)
-    rows = max(1, min(n, CELLS // n))
-    pp = _PairPass(delta, N, out.multiplicities, out.l_offset, rows * n)
-    # the decisions, roots and margin of (a, b) depend on ab alone, so the
-    # mirror (b, a) of a pair in A = B adds the same: count it once, twice
     symmetric = np.array_equal(A.elements, B.elements)
+    if symmetric:
+        rows = cols = TILE
+    else:
+        cols = max(1, min(len(b_f), CELLS))  # an empty B runs no tiles, not CELLS // 0
+        rows = CELLS // cols
+    pp = _PairPass(delta, N, counts, off, min(len(a_f), rows) * min(len(b_f), cols))
     for i0 in range(0, len(a_f), rows):
         a_rows = a_f[i0 : i0 + rows]
-        b_cols = b_f[i0:] if symmetric else b_f
-        c = len(a_rows) * len(b_cols)
-        np.multiply.outer(a_rows, b_cols, out=pp.prod[:c].reshape(len(a_rows), len(b_cols)))
-        pp.decide(c, 2 if symmetric else 1)
-    if symmetric:
-        ti, tj = np.tril_indices(rows, -1)
-        starts = np.arange(0, n, rows)[:, None]
-        i, j = (starts + ti).ravel(), (starts + tj).ravel()
-        below = i < n  # the last block may be short
-        c = int(np.count_nonzero(below))
-        if c:
-            np.multiply(a_f[i[below]], a_f[j[below]], out=pp.prod[:c])
-            pp.decide(c, -2)
-        np.multiply(a_f, a_f, out=pp.prod[:n])
-        pp.decide(n, -1)
-
-    counts = out.multiplicities
-    out.H_count = int(counts.sum())
-    out.distinct_count = int(np.count_nonzero(counts))
-    out.boundary_margin = pp.min_margin
-    out.exact_fallbacks = pp.fallbacks
-    return out
+        for j0 in range(i0 if symmetric else 0, len(b_f), cols):
+            b_cols = b_f[j0 : j0 + cols]
+            c = len(a_rows) * len(b_cols)
+            np.multiply.outer(a_rows, b_cols, out=pp.prod[:c].reshape(len(a_rows), len(b_cols)))
+            pp.decide(c, 2 if symmetric and j0 > i0 else 1)
+    return NearSquareCount(
+        delta=delta,
+        base_N=N,
+        A_size=len(A),
+        B_size=len(B),
+        H_count=int(counts.sum()),
+        multiplicities=counts,
+        l_offset=off,
+        distinct_count=int(np.count_nonzero(counts)),
+        boundary_margin=pp.min_margin,
+        exact_fallbacks=pp.fallbacks,
+    )
 
 
 @dataclass(frozen=True)

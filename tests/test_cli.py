@@ -3,12 +3,14 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nearsq import cli
 from nearsq.arith import build_prime_table
 from nearsq.cli import RunConfig, build_parser, dispatch, main
 from nearsq.errors import EXIT_CODES
@@ -238,6 +240,31 @@ class TestSweep:
         _, parallel, _ = run_cli(capsys, argv + ["--threads", "3"])
         assert serial == parallel
 
+    def test_pool_is_no_larger_than_the_row_count(self, capsys, monkeypatch):
+        # a fake pool that records its size and maps in process: no process starts
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return [fn(a) for a in args]
+
+        monkeypatch.setattr(cli, "Pool", FakePool)
+        argv = ["sweep", "--target", "quadruples", "--sizes", "4,8"]
+        _, serial, _ = run_cli(capsys, argv)
+        code, pooled, _ = run_cli(capsys, argv + ["--threads", "500"])
+        assert code == 0
+        assert pooled == serial
+        assert sizes == [2]
+
     def test_output_file_and_env_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("NEARSQ_OUTPUT_DIR", str(tmp_path))
         code, out, _ = run_cli(capsys, [
@@ -424,12 +451,25 @@ class TestErrors:
         (["mertens", "--z", "1e300"], 4),
         (["mertens", "--z", "2e6"], 4),
         (["experiment", "--N", "100", "--d-max", "100001"], 4),  # over D_MAX_BUDGET
+        (["psi-approx", "--H", "100001", "--grid-points", "1000"], 4),  # over TERM_BUDGET
     ])
     def test_bad_number_exits_with_one_error_line(self, capsys, argv, code):
         got, out, err = run_cli(capsys, argv)
         assert got == code
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_psi_approx_budget_raises_before_allocating(self, capsys):
+        # one grid_points x H matrix over the budget is 800 MB
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(capsys, ["psi-approx", "--H", "100001", "--grid-points", "1000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert err.startswith("error: ")
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("argv", [
         ["mertens", "--z", "10", "--seed", "1"],

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -246,11 +247,10 @@ class TestCountNearSquares:
         assert_count_is_sum(count_near_squares(A, A, delta), split_count(A, x, delta))
 
     def test_full_set_blocks_straddle_rows(self):
-        # several rows per block, and a short last block, so that the closing
-        # pass's lower triangles cross block edges
+        # a full square tile and a short one on the diagonal, and a short
+        # tile above it, at the default tile size
         N = 200
-        rows = experiments.CELLS // N
-        assert 1 < rows < N and N % rows
+        assert (N // experiments.TILE, N % experiments.TILE) == (1, 72)
         A = generate_subset(N, "full")
         for delta in (float(N) ** -0.05, Fraction(1, 20)) + MARGIN_WINDOWS:
             nsc = count_near_squares(A, A, delta)
@@ -258,6 +258,58 @@ class TestCountNearSquares:
             assert nsc.H_count == H
             assert dict(rounded_values(nsc)) == mult
             assert_count_is_sum(nsc, split_count(A, int(A.elements[-1]), delta))
+
+    @pytest.mark.parametrize("tile", [1, 2, 3, 5])
+    def test_small_tiles_against_oracle(self, monkeypatch, tile):
+        # tiles far smaller than the sets, so that counts cross many tile
+        # edges, short last tiles and diagonal squares
+        monkeypatch.setattr(experiments, "TILE", tile)
+        monkeypatch.setattr(experiments, "CELLS", tile * tile)
+        prng = random.Random(tile)
+        for N in (20, 37, 60):
+            A, B = (
+                generate_subset(N, "explicit", elements=prng.sample(range(N + 1, 2 * N + 1), size))
+                for size in (prng.randint(N // 3, N), prng.randint(N // 3, N))
+            )
+            for X, Y in ((A, A), (A, B), (B, A)):
+                for delta in (Fraction(1, 7), Fraction(2, 3), Fraction(1, 10**14)):
+                    nsc = count_near_squares(X, Y, delta)
+                    H, mult = exact_window_count(X, Y, delta)
+                    assert nsc.H_count == H
+                    assert dict(rounded_values(nsc)) == mult
+
+    def test_short_rows_share_a_tile(self, monkeypatch):
+        # |B| = 3: a tile holds CELLS // 3 rows of A, not 3 x 3 products
+        calls = []
+        decide = experiments._PairPass.decide
+
+        def counted(pp, c, w):
+            calls.append(c)
+            decide(pp, c, w)
+
+        monkeypatch.setattr(experiments._PairPass, "decide", counted)
+        N = 10**5
+        A = generate_subset(N, "full")
+        B = generate_subset(N, "explicit", elements=[N + 1, 150_000, 2 * N])
+        count_near_squares(A, B, Fraction(1, 7))
+        assert sum(calls) == len(A) * len(B)
+        assert len(calls) <= -(-len(A) // (experiments.CELLS // len(B))) == 19
+
+    def test_long_rows_are_cut(self):
+        # |B| = 10^5: the work buffers hold one tile of CELLS products, not a
+        # row of |B|; the mirrored count, with rows of 3, is the same
+        N = 10**5
+        A = generate_subset(N, "explicit", elements=[N + 1, 150_000, 2 * N])
+        B = generate_subset(N, "full")
+        tracemalloc.start()
+        try:
+            nsc = count_near_squares(A, B, Fraction(1, 7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        floats = 8 * (len(A) + len(B))
+        assert peak < nsc.multiplicities.nbytes + floats + (3 << 19)
+        assert_count_is_sum(nsc, [count_near_squares(B, A, Fraction(1, 7))])
 
     def test_perfect_squares_decided_in_float_beyond_half(self):
         # a correctly rounded sqrt is exact on perfect squares, so they need
