@@ -8,14 +8,19 @@ opt-in.  Module errors map to distinct exit codes: usage/invalid 2, regime
 ``COMMANDS`` declares each parameter once.  argparse only splits argv into
 strings; ``dispatch`` defaults, checks and converts every value the same way,
 whether it came from a flag, a ``--config`` file or a RunConfig built in code.
+A run is a command and its parameters, nothing else.  ``sweep`` adds no
+computation of its own: each of its rows is one run of the command that
+``SWEEPS`` names for its target, and its cells are keys of that run's report.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -60,7 +65,7 @@ from .expsum import (
     pair_count,
     quadruple_count,
 )
-from .reports import csv_text, fraction_str, json_report, sig12, table_text
+from .reports import csv_text, fraction_str, json_report, table_text
 from .sievefn import MERTENS_Z_BUDGET, build_sieve_table, mertens_product
 
 OUTPUT_DIR_ENV = "NEARSQ_OUTPUT_DIR"
@@ -68,22 +73,10 @@ OUTPUT_DIR_ENV = "NEARSQ_OUTPUT_DIR"
 
 @dataclass
 class RunConfig:
-    """One run: a command and its unconverted parameters, keyed by ``Param.name``.
-
-    A field below that is set wins over the parameter it names in ``RUN_FIELDS``.
-    """
+    """One run: a command and its unconverted parameters, keyed by ``Param.name``."""
 
     command: str
     parameters: dict = field(default_factory=dict)
-    seed: int | None = None
-    output_format: str | None = None
-    output_path: str | None = None
-    threads: int | None = None
-
-
-# RunConfig field (also a top-level key of a --config file) -> parameter name
-RUN_FIELDS = {"seed": "seed", "output_format": "format", "output_path": "output",
-              "threads": "threads"}
 
 REQUIRED = ...  # the default of a parameter that every run must give
 
@@ -340,76 +333,40 @@ def _cmd_sweep(p: dict) -> str:
         if step <= 0:
             raise InvalidArgumentError("sweep step must be positive")
         grid = (start + j * step for j in itertools.count())
-        deltas = list(itertools.takewhile(lambda d: d <= end + 1e-15, grid))
-        header = ["delta", "k", "value", "value_unsimplified", "discrepancy", "quad_error"]
-        args = [(d, p["k"]) for d in deltas]
-        fn = _constant_row
+        deltas = itertools.takewhile(lambda d: d <= end + 1e-15, grid)
+        runs = [{"k": p["k"], "delta": d} for d in deltas]
     elif target == "residual":
-        header = ["N", "seed", "size_A", "size_B", "H", "residual"]
-        args = [(n, s, p["density"], p["delta"]) for n in p["N_list"] for s in p["seeds"]]
-        fn = _residual_row
+        runs = [{"N": n, "seed": s, "density": p["density"], "delta": p["delta"]}
+                for n in p["N_list"] for s in p["seeds"]]
     elif target == "remainder":
-        header = ["N", "delta", "H", "X", "scaled_remainder_max"]
-        args = p["N_list"]
-        fn = _remainder_row
+        # the decay statistic of acceptance criterion 9: full sets, window N^-0.05
+        runs = [{"N": n, "kind": "full", "delta_exp": 0.05, "d_max": 50, "max_pairs": 4 * 10**10}
+                for n in p["N_list"]]
     elif target == "quadruples":
-        header = ["M", "N", "theta", "measured", "bound", "ratio"]
-        args = [(m, p["theta"]) for m in p["sizes"]]
-        fn = _quadruple_row
+        runs = [{"check": "quadruples", "M": m, "N": m, "theta": p["theta"]} for m in p["sizes"]]
     else:
-        header = ["N", "H0", "d", "measured", "bound", "ratio"]
-        args = [(n, p["H0"], p["d"]) for n in p["sizes"]]
-        fn = _bilinear_row
+        runs = [{"check": "bilinear", "N": n, "H0": p["H0"], "d": p["d"]} for n in p["sizes"]]
+    command, columns = SWEEPS[target]
     checkpoint, done = p["checkpoint"], 0
     if checkpoint and os.path.exists(checkpoint):
         with open(checkpoint) as fh:
             text = fh.read().strip()
         done = int(text) if text.isdigit() else 0  # an unreadable count resumes from 0
-    rows = _parallel_map(fn, args[done:], p["threads"])
+    keys = tuple(columns.values())
+    rows = _parallel_map(_sweep_row, [(RunConfig(command, run), keys) for run in runs[done:]],
+                         p["threads"])
     if checkpoint:
         with open(checkpoint, "w") as fh:
-            fh.write(str(len(args)))
-    return csv_text(header, rows)
+            fh.write(str(len(runs)))
+    return csv_text(list(columns), rows)
 
 
-def _constant_row(args) -> list:
-    d, k = args
-    rep = weighted_sieve_constant(d, k)
-    return [sig12(d), k, rep.value, rep.value_unsimplified, rep.discrepancy, rep.quad_error]
-
-
-def _residual_row(args) -> list:
-    n, seed, density, delta = args
-    if density:
-        A = generate_subset(n, "bernoulli", density=density, seed=seed)
-        B = generate_subset(n, "bernoulli", density=density, seed=seed + 1)
-    else:
-        A = B = generate_subset(n, "full")
-    nsc = count_near_squares(A, B, delta)
-    res = normalized_residual(A, B, delta, nsc=nsc)
-    return [n, seed, len(A), len(B), nsc.H_count, res]
-
-
-def _remainder_row(n: int) -> list:
-    # the decay statistic of acceptance criterion 9: full sets, window N^-0.05
-    A = generate_subset(n, "full")  # checks n >= 2 before n^-0.05 is taken
-    delta = float(n) ** -0.05
-    nsc = count_near_squares(A, A, delta, max_pairs=4 * 10**10)
-    dec = sieve_decomposition(nsc, len(A), len(A), 50)
-    return [n, delta, nsc.H_count, float(dec.X), dec.scaled_remainder_max()]
-
-
-def _quadruple_row(args) -> list:
-    m, theta = args
-    rec = quadruple_count(m, m, theta, 0.5, 0.5)
-    return [m, m, theta, rec.measured_value, rec.bound_value, rec.ratio]
-
-
-def _bilinear_row(args) -> list:
-    n, h0, d = args
-    A = generate_subset(n, "full")
-    rec = bilinear_sum_check(h0, A, A, d=d)
-    return [n, h0, d, rec.measured_value, rec.bound_value, rec.ratio]
+def _sweep_row(task: tuple) -> list:
+    """The cells of one run's report, each named by a dotted key such as ``sizes.A``."""
+    config, keys = task
+    handler, _, _, params = COMMANDS[config.command]
+    report = handler(_resolve(config, params))
+    return [functools.reduce(operator.getitem, key.split("."), report) for key in keys]
 
 
 def _parallel_map(fn, args, threads: int) -> list:
@@ -418,6 +375,22 @@ def _parallel_map(fn, args, threads: int) -> list:
     with Pool(processes=min(threads, len(args))) as pool:
         return pool.map(fn, args)  # ordered, deterministic merge
 
+
+# sweep target -> (command each row runs, {CSV column: key of that command's report})
+SWEEPS = {
+    "constant": ("constant", {c: c for c in ("delta", "k", "value", "value_unsimplified",
+                                             "discrepancy", "quad_error")}),
+    "residual": ("experiment", {"N": "config.N", "seed": "config.seed", "size_A": "sizes.A",
+                                "size_B": "sizes.B", "H": "H", "residual": "residual"}),
+    "remainder": ("experiment", {"N": "config.N", "delta": "config.delta_float", "H": "H",
+                                 "X": "X", "scaled_remainder_max": "scaled_remainder_max_d50"}),
+    "quadruples": ("expsum-check", {"M": "params.M", "N": "params.N", "theta": "params.theta",
+                                    "measured": "measured_value", "bound": "bound_value",
+                                    "ratio": "ratio"}),
+    "bilinear": ("expsum-check", {"N": "params.N", "H0": "params.H0", "d": "params.d",
+                                  "measured": "measured_value", "bound": "bound_value",
+                                  "ratio": "ratio"}),
+}
 
 SEED = Param("--seed", _int, 0, help="deterministic RNG seed")
 DENSITY = Param("--density", float)
@@ -541,8 +514,7 @@ COMMANDS = {
         "window N^-0.05, over N), quadruples and bilinear (doubling-size "
         "bound-ratio records).  Always writes CSV.",
         (
-            Param("--target", default="constant",
-                  choices=("constant", "residual", "remainder", "quadruples", "bilinear")),
+            Param("--target", default="constant", choices=tuple(SWEEPS)),
             Param("--k", _int, 4),
             Param("--delta-start", float, 1e-4),
             Param("--delta-end", float, 0.0121),
@@ -578,15 +550,16 @@ def _convert(command: str, prm: Param, value):
 
 
 def _resolve(config: RunConfig, params: tuple) -> dict:
-    """Every parameter of the command, converted or defaulted; raises on a
-    value that does not convert and on a missing required parameter."""
-    given = dict(config.parameters)
-    for name, param in RUN_FIELDS.items():
-        if getattr(config, name) is not None:
-            given[param] = getattr(config, name)
+    """Every parameter of the command, converted or defaulted; raises on a name
+    the command does not declare, on a value that does not convert and on a
+    missing required parameter."""
+    unknown = set(config.parameters) - {prm.name for prm in params}
+    if unknown:
+        raise InvalidArgumentError(f"unknown parameter {', '.join(sorted(unknown))} "
+                                   f"for {config.command}")
     p = {}
     for prm in params:
-        value = given.get(prm.name)
+        value = config.parameters.get(prm.name)
         if value is None and prm.default is not REQUIRED:
             value = prm.default
         p[prm.name] = None if value is None else _convert(config.command, prm, value)
@@ -608,7 +581,7 @@ def _fail(exc: NearsqError) -> int:
 def dispatch(config: RunConfig) -> int:
     """Run one command and emit exactly one report; returns the exit code."""
     try:
-        if not isinstance(config.command, str) or config.command not in COMMANDS:
+        if config.command not in COMMANDS:
             raise InvalidArgumentError(f"unknown command {config.command!r}")
         handler, _, _, params = COMMANDS[config.command]
         p = _resolve(config, params)
@@ -642,6 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config(path: str) -> dict:
+    """The parameters of a config file, which holds one JSON object {"parameters": {...}}."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -649,26 +623,23 @@ def _read_config(path: str) -> dict:
         raise InvalidArgumentError(f"cannot read config file: {exc}") from None
     except ValueError as exc:  # not JSON, or not UTF-8
         raise InvalidArgumentError(f"config file {path} is not JSON: {exc}") from None
-    if not isinstance(doc, dict) or not isinstance(doc.get("parameters", {}), dict):
-        raise InvalidArgumentError(f"config file {path} must be a JSON object of parameters")
-    return doc
+    if not isinstance(doc, dict) or set(doc) - {"parameters"} \
+            or not isinstance(doc.get("parameters", {}), dict):
+        raise InvalidArgumentError(
+            f'config file {path} must be a JSON object {{"parameters": {{name: value, ...}}}}')
+    return doc.get("parameters", {})
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     given = {k: v for k, v in vars(args).items() if v is not None}
     command, path = given.pop("command"), given.pop("config", None)
-    config = RunConfig(command=command, parameters=given)
     if path:
-        overrides = _read_config(path)
-        file_params = overrides.get("parameters", {})
-        clashes = sorted({k for k in overrides if k != "parameters"} | set(file_params))
+        from_file = _read_config(path)
+        clashes = sorted(set(from_file) & set(given))
         if clashes:
             sys.stderr.write(f"warning: config file overrides flags for: {', '.join(clashes)}\n")
-        config.parameters.update(file_params)
-        for key in ("command", *RUN_FIELDS):
-            if key in overrides:
-                setattr(config, key, overrides[key])
-    return config
+        given.update(from_file)
+    return RunConfig(command, given)
 
 
 def main(argv=None) -> int:

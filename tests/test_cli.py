@@ -2,9 +2,11 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from nearsq import cli
 from nearsq.arith import build_prime_table
-from nearsq.cli import RunConfig, build_parser, dispatch, main
+from nearsq.cli import COMMANDS, RunConfig, build_parser, dispatch, main
 from nearsq.errors import EXIT_CODES
 from nearsq.experiments import count_near_squares, generate_subset, sieve_decomposition
 
@@ -69,6 +71,42 @@ FUZZ_FLAGS = {
     "sweep --target=quadruples": {"--sizes": ["2", "2,4", *BAD_LISTS], "--theta": ["1e-6", "0.1"]},
     "sweep --target=bilinear": {"--sizes": ["2", "8,16", *BAD_LISTS], "--H0": ["1", "4"],
                                 "--d": ["1", "2"]},
+}
+
+# each sweep target against the command run its rows stand for: the sweep's
+# flags for one row, the command's argv, and per CSV column the key of the
+# command's report, dotted into nested objects
+SWEEP_COMMANDS = {
+    "constant": (
+        ["--k", "4", "--delta-start", "0.002", "--delta-end", "0.002"],
+        ["constant", "--k", "4", "--delta", "0.002"],
+        {"delta": "delta", "k": "k", "value": "value", "value_unsimplified": "value_unsimplified",
+         "discrepancy": "discrepancy", "quad_error": "quad_error"},
+    ),
+    "residual": (
+        ["--N-list", "300", "--seeds", "2", "--density", "0.8", "--delta", "1/10"],
+        ["experiment", "--N", "300", "--density", "0.8", "--seed", "2", "--delta", "1/10"],
+        {"N": "config.N", "seed": "config.seed", "size_A": "sizes.A", "size_B": "sizes.B",
+         "H": "H", "residual": "residual"},
+    ),
+    "remainder": (
+        ["--N-list", "300"],
+        ["experiment", "--N", "300", "--kind", "full", "--delta-exp", "0.05", "--d-max", "50"],
+        {"N": "config.N", "delta": "config.delta_float", "H": "H", "X": "X",
+         "scaled_remainder_max": "scaled_remainder_max_d50"},
+    ),
+    "quadruples": (
+        ["--sizes", "8", "--theta", "1e-3"],
+        ["expsum-check", "--check", "quadruples", "--M", "8", "--N", "8", "--theta", "1e-3"],
+        {"M": "params.M", "N": "params.N", "theta": "params.theta", "measured": "measured_value",
+         "bound": "bound_value", "ratio": "ratio"},
+    ),
+    "bilinear": (
+        ["--sizes", "16", "--H0", "4", "--d", "2"],
+        ["expsum-check", "--check", "bilinear", "--N", "16", "--H0", "4", "--d", "2"],
+        {"N": "params.N", "H0": "params.H0", "d": "params.d", "measured": "measured_value",
+         "bound": "bound_value", "ratio": "ratio"},
+    ),
 }
 
 
@@ -216,6 +254,26 @@ class TestSweep:
         assert float(X) == pytest.approx(float(dec.X), rel=1e-11)
         assert float(stat) == pytest.approx(dec.scaled_remainder_max(), rel=1e-11)
 
+    @pytest.mark.parametrize("target", list(SWEEP_COMMANDS))
+    def test_row_equals_the_command_report(self, capsys, target):
+        sweep_flags, command, columns = SWEEP_COMMANDS[target]
+        code, out, err = run_cli(capsys, ["sweep", "--target", target, *sweep_flags])
+        assert (code, err) == (0, "")
+        header, row = out.splitlines()
+        assert header.split(",") == list(columns)
+        code, out, err = run_cli(capsys, command)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        cells = []
+        for key in columns.values():
+            value = report
+            for part in key.split("."):
+                value = value[part]
+            # the CSV writer prints floats at 12 significant digits and None as ""
+            cells.append("" if value is None else f"{value:.12g}" if isinstance(value, float)
+                         else str(value))
+        assert row.split(",") == cells
+
     def test_checkpoint_resume(self, capsys, tmp_path):
         ck = tmp_path / "sweep.ck"
         argv = [
@@ -284,8 +342,13 @@ class TestConfigFile:
             "constant", "--k", "4", "--delta", "0.01", "--config", str(cfg),
         ])
         assert code == 0
-        assert "warning" in err
+        assert err == "warning: config file overrides flags for: delta\n"
         assert json.loads(out)["delta"] == 0.002
+        # a file value for a parameter no flag gave overrides nothing
+        cfg.write_text(json.dumps({"parameters": {"theta": "1e-3"}}))
+        code, _, err = run_cli(capsys, ["sweep", "--target", "quadruples", "--sizes", "4",
+                                        "--config", str(cfg)])
+        assert (code, err) == (0, "")
 
     def test_file_values_read_like_flags(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -308,8 +371,10 @@ class TestConfigFile:
         (["sweep", "--target", "quadruples", "--sizes", "2"], '{"threads": "x"}'),
         (["experiment", "--N", "100"], '{"parameters": {"timing": "yes"}}'),
         (["mertens", "--z", "10"], '{"output_format": "yaml"}'),
+        (["sweep", "--target", "quadruples"], '{"parameters": {"sizse": "4,8"}}'),
+        (["mertens", "--z", "10"], '{"seed": 3}'),
     ], ids=["missing", "not-json", "not-object", "parameters-not-object", "N", "N-float", "query",
-            "sizes", "threads", "timing", "format"])
+            "sizes", "threads", "timing", "format", "misspelt", "top-level"])
     def test_bad_file_exits_with_one_error_line(self, capsys, tmp_path, argv, content):
         cfg = tmp_path / "run.json"
         if content is not None:
@@ -319,6 +384,17 @@ class TestConfigFile:
         assert out == ""
         assert [line for line in err.splitlines() if "error:" in line] == err.splitlines()[-1:]
         assert err.splitlines()[-1].startswith("error: ")
+
+
+class TestReadme:
+    def test_flag_table_matches_the_declarations(self):
+        # every command's row lists its flags in declaration order, all but --output
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `([\w-]+)` \| (.*) \|$", readme, flags=re.M)
+        table = {command: re.findall(r"--[\w-]+", flags) + ["--output"] for command, flags in rows}
+        assert table == {command: [prm.flag for prm in params]
+                         for command, (_, _, _, params) in COMMANDS.items()}
+        assert list(table) == list(COMMANDS)
 
 
 class TestErrors:
@@ -404,13 +480,12 @@ class TestErrors:
         assert err.splitlines() == ["error: sweep step must be positive"]
 
     def test_unknown_branches_exit_2(self, capsys):
-        for command, params, fmt in (
-            ("sweep", {"target": "bogus"}, "json"),
-            ("expsum-check", {"check": "bogus"}, "json"),
-            ("mertens", {"z": 10}, "yaml"),
+        for command, params in (
+            ("sweep", {"target": "bogus"}),
+            ("expsum-check", {"check": "bogus"}),
+            ("mertens", {"z": 10, "format": "yaml"}),
         ):
-            config = RunConfig(command=command, parameters=params, output_format=fmt)
-            assert dispatch(config) == 2
+            assert dispatch(RunConfig(command=command, parameters=params)) == 2
             assert capsys.readouterr().err.startswith("error: unknown")
 
     def test_help_mentions_formulas(self, capsys):
