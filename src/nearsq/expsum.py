@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, InvalidArgumentError
-from .experiments import IntervalSubset
+from .experiments import CELLS, IntervalSubset
 
 TERM_BUDGET = 10**8
 
@@ -98,7 +98,9 @@ def quadruple_count(
     """Exact count of quadruples with |(m'/m)^alpha - (n'/n)^beta| < theta.
 
     m, m' range over [M, 2M) and n, n' over [N, 2N); the reference bound is
-    M*N*log(2MN) + theta*M^2*N^2.
+    M*N*log(2MN) + theta*M^2*N^2.  The N^2 ratios of n are sorted once; the
+    M^2 ratios of m are looked up in them ``CELLS // M`` rows (at least one)
+    at a time, so no M^2 array is held.
     """
     if M < 1 or N < 1:
         raise InvalidArgumentError("ranges must satisfy M, N >= 1")
@@ -111,11 +113,18 @@ def quadruple_count(
 
     m = np.arange(M, 2 * M, dtype=np.float64)
     n = np.arange(N, 2 * N, dtype=np.float64)
-    xs = ((m[None, :] / m[:, None]) ** alpha_exp).ravel()
-    ys = np.sort(((n[None, :] / n[:, None]) ** beta_exp).ravel())
-    lo = np.searchsorted(ys, xs - theta, side="right")
-    hi = np.searchsorted(ys, xs + theta, side="left")
-    count = int(np.sum(hi - lo))
+    ys = n[None, :] / n[:, None]
+    ys **= beta_exp
+    ys = ys.ravel()
+    ys.sort()
+    count = 0
+    rows = max(1, CELLS // M)
+    for i0 in range(0, M, rows):
+        xs = m[None, :] / m[i0 : i0 + rows, None]
+        xs **= alpha_exp
+        lo = np.searchsorted(ys, xs - theta, side="right")
+        hi = np.searchsorted(ys, xs + theta, side="left")
+        count += int(np.sum(hi - lo))
     bound = M * N * math.log(2 * M * N) + theta * (M * N) ** 2
     return BoundCheckRecord(
         check="quadruples",
@@ -161,9 +170,17 @@ def bilinear_sum_check(
 
     The dyadic block is h in (H0, 2*H0].  With ``weights="unit"`` all outer
     coefficients are 1; ``weights="adversarial"`` aligns each h-block's
-    phase, the worst case the bound must absorb.  Phases are reduced mod 1
-    before exponentiation and partial sums accumulate through compensated
-    summation in a fixed order.
+    phase, the worst case the bound must absorb.
+
+    The terms are taken in tiles of whole rows of A, ``CELLS // |B|`` rows
+    (at least one) against all of B, with one square root per (a, b) shared
+    by every h.  Each phase x = h sqrt(ab)/d >= 0 is reduced to x - floor(x),
+    which equals ``np.mod(x, 1)`` exactly, scaled by 2 pi, and summed row by
+    row through ``np.cos`` and ``np.sin``: the real and imaginary parts of
+    ``np.exp(2j pi frac)``, bit for bit.  A row is one contiguous sum, so its
+    pairwise tree does not depend on the tile; cutting a row would change it.
+    The row sums of each h then go through ``math.fsum``, which is exactly
+    rounded, so ``measured_value`` does not depend on the tile size either.
     """
     if H0 < 1 or d < 1:
         raise InvalidArgumentError("H0 and d must be at least 1")
@@ -178,16 +195,19 @@ def bilinear_sum_check(
         raise BudgetError(f"{terms} terms exceed the budget of {budget}")
 
     N = A.base_N
+    a_arr = A.elements.astype(np.float64)
     b_arr = B.elements.astype(np.float64)
     hs = range(H0 + 1, 2 * H0 + 1)
     res, ims = [[] for _ in hs], [[] for _ in hs]
-    for a in A.elements:
-        t = np.sqrt(float(a) * b_arr)
+    rows = max(1, CELLS // len(b_arr))  # whole rows only: a cut row sums in another tree
+    for i0 in range(0, len(a_arr), rows):
+        t = np.sqrt(np.multiply.outer(a_arr[i0 : i0 + rows], b_arr))
         for i, h in enumerate(hs):
-            frac = np.mod(h * t / d, 1.0)
-            z = np.exp(2j * math.pi * frac)
-            res[i].append(float(np.sum(z.real)))
-            ims[i].append(float(np.sum(z.imag)))
+            x = h * t / d
+            x -= np.floor(x)  # the phase mod 1, exactly: x >= 0
+            x *= 2 * math.pi
+            res[i].extend(np.cos(x).sum(axis=1).tolist())
+            ims[i].extend(np.sin(x).sum(axis=1).tolist())
     # fsum is exactly rounded, so the block sums do not depend on the loop order
     block_sums = [complex(math.fsum(r), math.fsum(m)) for r, m in zip(res, ims)]
 

@@ -432,8 +432,8 @@ class TestErrors:
         ("sweep", 0, []),
     ])
     def test_empty_parameters_exit_cleanly(self, capsys, command, code, err):
-        # a run description without parameters, as a --config file that
-        # switches the command can produce: a report or one error line
+        # a run description without parameters, as the bare subcommand or a
+        # RunConfig built in code gives: a report or one error line
         assert dispatch(RunConfig(command=command)) == code
         out = capsys.readouterr()
         assert out.err.splitlines() == err

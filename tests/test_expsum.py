@@ -1,13 +1,15 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nearsq import expsum
 from nearsq.errors import BudgetError, InvalidArgumentError
-from nearsq.experiments import generate_subset
+from nearsq.experiments import CELLS, generate_subset
 from nearsq.expsum import (
     bilinear_sum_check,
     build_sawtooth_approximation,
@@ -18,6 +20,32 @@ from nearsq.expsum import (
 
 def sawtooth(t):
     return t - np.floor(t) - 0.5
+
+
+def per_term_bilinear(H0, A, B, d, weights):
+    """measured_value of bilinear_sum_check with one np.mod, one complex
+    np.exp and one np.sum per (h, a): the reference for the row tiles."""
+    sums = []
+    for h in range(H0 + 1, 2 * H0 + 1):
+        res, ims = [], []
+        for a in A.elements:
+            z = np.exp(2j * math.pi * np.mod(h * np.sqrt(float(a) * B.elements) / d, 1.0))
+            res.append(float(np.sum(z.real)))
+            ims.append(float(np.sum(z.imag)))
+        sums.append(complex(math.fsum(res), math.fsum(ims)))
+    if weights == "unit":
+        return abs(complex(math.fsum(s.real for s in sums), math.fsum(s.imag for s in sums)))
+    return math.fsum(abs(s) for s in sums)
+
+
+def direct_quadruples(M, N, theta, alpha_exp, beta_exp):
+    """Quadruples counted pair by pair with the window test of quadruple_count."""
+    m = np.arange(M, 2 * M, dtype=np.float64)
+    n = np.arange(N, 2 * N, dtype=np.float64)
+    xs = ((m[None, :] / m[:, None]) ** alpha_exp).ravel()
+    ys = ((n[None, :] / n[:, None]) ** beta_exp).ravel()
+    lo, hi = xs - theta, xs + theta
+    return sum(int(np.count_nonzero((lo < y) & (y < hi))) for y in ys)
 
 
 class TestSawtoothApproximation:
@@ -109,6 +137,29 @@ class TestQuadrupleCount:
     def test_budget_error(self):
         with pytest.raises(BudgetError):
             quadruple_count(200, 200, 0.1, 0.5, 0.5, budget=10**6)
+
+    @pytest.mark.parametrize("cells", [1, 7, 40])
+    @pytest.mark.parametrize("M,N,theta,alpha,beta", [
+        (13, 3, 1e-3, 0.37, 1.3), (6, 11, 0.05, -1.3, 2.5), (9, 9, 1e-6, 0.5, 0.5),
+    ])
+    def test_row_chunks_match_direct_count(self, monkeypatch, cells, M, N, theta, alpha, beta):
+        # chunks of one row, of ragged rows and of whole rows count alike
+        monkeypatch.setattr(expsum, "CELLS", cells)
+        assert quadruple_count(M, N, theta, alpha, beta).measured_value == direct_quadruples(
+            M, N, theta, alpha, beta)
+
+    def test_lopsided_edge_holds_no_square_array(self):
+        # M = 2000, N = 1: one M^2 float64 array would take 32 MB; the ratios
+        # of m are taken CELLS at a time
+        M, theta = 2000, 1e-3
+        tracemalloc.start()
+        try:
+            rec = quadruple_count(M, 1, theta, 0.5, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < M * M  # bytes: an eighth of one M^2 float64 array
+        assert rec.measured_value == direct_quadruples(M, 1, theta, 0.5, 0.5) > M
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -216,6 +267,48 @@ class TestBilinearSum:
         else:
             expect = math.fsum(abs(s) for s in sums)
         assert bilinear_sum_check(3, A, B, d=d, weights=weights).measured_value == expect
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("shape", ["ragged", "long-rows", "single-a", "same-sets"])
+    def test_row_tiles_match_per_term_oracle(self, shape, d):
+        if shape == "ragged":  # |B| = 3000: tiles of 5 rows and a last one of 2
+            B = generate_subset(3000, "full")
+            A = generate_subset(3000, "explicit", elements=B.elements[::431])
+            assert len(A) % (CELLS // len(B)) == 2
+        elif shape == "long-rows":  # |B| > CELLS: every tile is one row
+            B = generate_subset(CELLS + 600, "full")
+            A = generate_subset(CELLS + 600, "explicit", elements=B.elements[[0, 777, -1]])
+        elif shape == "single-a":
+            B = generate_subset(5000, "bernoulli", density=0.6, seed=4)
+            A = generate_subset(5000, "explicit", elements=[7777])
+        else:  # |A| = |B| = 173: a tile of 94 rows and a last one of 79
+            A = B = generate_subset(4000, "bernoulli", density=0.05, seed=8)
+        weights = "unit" if d == 1 else "adversarial"
+        rec = bilinear_sum_check(2, A, B, d=d, weights=weights)
+        assert rec.measured_value == per_term_bilinear(2, A, B, d, weights)
+
+    @pytest.mark.parametrize("cells", [1, 1000, 7000])
+    def test_any_tile_of_whole_rows_gives_the_same_bits(self, monkeypatch, cells):
+        # rows of 3000 terms, one or two to a tile; a tile that cut them into
+        # pieces of 1000 or 1 would round differently
+        A = generate_subset(3000, "bernoulli", density=0.004, seed=3)
+        B = generate_subset(3000, "full")
+        monkeypatch.setattr(expsum, "CELLS", cells)
+        for d in (1, 3):
+            for weights in ("unit", "adversarial"):
+                rec = bilinear_sum_check(3, A, B, d=d, weights=weights)
+                assert rec.measured_value == per_term_bilinear(3, A, B, d, weights)
+
+    def test_tiles_hold_no_full_product_array(self):
+        # |A| = |B| = 2000: one |A| x |B| float64 array would take 32 MB
+        A = generate_subset(2000, "full")
+        tracemalloc.start()
+        try:
+            bilinear_sum_check(1, A, A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(A) * len(A)  # bytes: an eighth of that array
 
     def test_deterministic(self):
         A = generate_subset(150, "bernoulli", density=0.7, seed=5)
