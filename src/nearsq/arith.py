@@ -44,48 +44,36 @@ def as_fraction(x) -> Fraction:
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """All primes up to ``limit`` and the smallest prime factor of every n <= limit.
+    """The smallest prime factor of every n <= ``limit``.
 
     The table is immutable after construction and safe to share across
-    workers.  ``spf[n]`` (int32) is the smallest prime factor of n for
-    2 <= n <= limit.
+    workers.  Only the entries 2..limit of ``spf`` (int32) hold factors:
+    ``spf[n]`` is the smallest prime factor of n, and n is prime exactly
+    when ``spf[n] == n``.
     """
 
     limit: int
-    primes: np.ndarray
     spf: np.ndarray
-
-    def smallest_prime_factors(self, values) -> np.ndarray:
-        """Smallest prime factor of every entry (each in 2..limit) of ``values``."""
-        values = np.asarray(values, dtype=np.int64)
-        if values.size:
-            if values.min() < 2:
-                raise InvalidArgumentError("smallest prime factors need entries >= 2")
-            top = int(values.max())
-            if top > self.limit:
-                raise CoverageError(f"prime table limit {self.limit} cannot factor {top}")
-        return self.spf[values]
 
 
 def build_prime_table(limit: int) -> PrimeTable:
     """Sieve the smallest prime factor of every n <= ``limit``.
 
-    Each prime p up to sqrt(limit) marks the multiples from p*p on that no
-    smaller prime has marked; the entries left unmarked are the primes.
-    Limits above ``PRIME_TABLE_BUDGET`` raise before anything is allocated.
+    Every entry starts as itself; each prime p up to sqrt(limit) lowers the
+    multiples from p*p on to p where p is smaller, so the entries that keep
+    their own value are the primes.  Limits above ``PRIME_TABLE_BUDGET``
+    raise before anything is allocated.
     """
     if limit < 2:
         raise InvalidArgumentError("prime table limit must be at least 2")
     if limit > PRIME_TABLE_BUDGET:
         raise BudgetError(f"prime table limit {limit} exceeds the budget of {PRIME_TABLE_BUDGET}")
-    spf = np.zeros(limit + 1, dtype=np.int32)
+    spf = np.arange(limit + 1, dtype=np.int32)
     for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
+        if spf[p] == p:
             sl = spf[p * p :: p]
-            sl[sl == 0] = p
-    primes = np.flatnonzero(spf[2:] == 0) + 2
-    spf[primes] = primes
-    return PrimeTable(limit=limit, primes=primes, spf=spf)
+            np.minimum(sl, p, out=sl)
+    return PrimeTable(limit=limit, spf=spf)
 
 
 def prime_factor_steps(values, table: PrimeTable):
@@ -101,8 +89,11 @@ def prime_factor_steps(values, table: PrimeTable):
     rest = np.asarray(values, dtype=np.int64)
     index = np.nonzero(rest > 1)[0]
     rest = rest[index]
+    top = int(rest.max()) if rest.size else 0
+    if top > table.limit:  # rest only shrinks, so this covers every step
+        raise CoverageError(f"prime table limit {table.limit} cannot factor {top}")
     while index.size:
-        p = table.smallest_prime_factors(rest)
+        p = table.spf[rest]
         yield index, p
         rest = rest // p
         left = rest > 1

@@ -186,15 +186,7 @@ def _cmd_mertens(p: dict) -> dict:
 
 def _cmd_constant(p: dict) -> dict:
     report = weighted_sieve_constant(p["delta"], p["k"], tol=p["tol"])
-    return {
-        "delta": report.delta,
-        "k": report.k,
-        "value": report.value,
-        "value_unsimplified": report.value_unsimplified,
-        "discrepancy": report.discrepancy,
-        "quad_error": report.quad_error,
-        "discrepancy_exceeds_tol": report.flagged,
-    }
+    return {**asdict(report), "discrepancy_exceeds_tol": report.flagged}
 
 
 def _cmd_threshold(p: dict) -> dict:

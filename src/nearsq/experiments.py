@@ -413,22 +413,17 @@ def weighted_sum(
 
 
 def normalized_residual(
-    A: IntervalSubset,
-    B: IntervalSubset,
-    delta,
-    nsc: NearSquareCount | None = None,
-    max_pairs: int = PAIR_BUDGET_DEFAULT,
+    A: IntervalSubset, B: IntervalSubset, delta, nsc: NearSquareCount
 ) -> float | None:
     """(H - 2*delta*|A|*|B|) / (N * (|A||B|)^(1/4) * log(N)^(3/2)).
 
-    The numerator is exact; the asymptotic main-term statement asserts this
+    H and delta are read off ``nsc``, the count of A x B at ``delta``.  The
+    numerator is exact; the asymptotic main-term statement asserts this
     ratio stays bounded once |A||B| clears N^(4/3).  It is undefined, and
     None is returned, when A or B is empty.
     """
     if len(A) == 0 or len(B) == 0:
         return None
-    if nsc is None:
-        nsc = count_near_squares(A, B, delta, max_pairs=max_pairs)
     X = 2 * nsc.delta * len(A) * len(B)
     numer = float(Fraction(nsc.H_count) - X)
     N = A.base_N

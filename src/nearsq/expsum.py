@@ -88,19 +88,16 @@ class BoundCheckRecord:
 
 
 def quadruple_count(
-    M: int,
-    N: int,
-    theta: float,
-    alpha_exp: float,
-    beta_exp: float,
-    budget: int = TERM_BUDGET,
+    M: int, N: int, theta: float, alpha_exp: float, beta_exp: float
 ) -> BoundCheckRecord:
     """Exact count of quadruples with |(m'/m)^alpha - (n'/n)^beta| < theta.
 
     m, m' range over [M, 2M) and n, n' over [N, 2N); the reference bound is
-    M*N*log(2MN) + theta*M^2*N^2.  The N^2 ratios of n are sorted once; the
-    M^2 ratios of m are looked up in them ``CELLS // M`` rows (at least one)
-    at a time, so no M^2 array is held.
+    M*N*log(2MN) + theta*M^2*N^2.  The ratios of n are sorted ``CELLS // N``
+    rows (at least one) at a time, and the M^2 ratios of m are looked up in
+    each such chunk ``CELLS // M`` rows at a time, so neither an N^2 nor an
+    M^2 array is held.  Every ratio of n lies in exactly one chunk, so the
+    integer counts of the chunks add up to the count over all of them.
     """
     if M < 1 or N < 1:
         raise InvalidArgumentError("ranges must satisfy M, N >= 1")
@@ -108,23 +105,24 @@ def quadruple_count(
         raise InvalidArgumentError("window theta must be positive and finite")
     if not all(math.isfinite(e) and e != 0 for e in (alpha_exp, beta_exp)):
         raise InvalidArgumentError("exponents must be finite and nonzero")
-    if M * M * N * N > budget:
-        raise BudgetError(f"{M * M * N * N} quadruples exceed the budget of {budget}")
+    if M * M * N * N > TERM_BUDGET:
+        raise BudgetError(f"{M * M * N * N} quadruples exceed the budget of {TERM_BUDGET}")
 
     m = np.arange(M, 2 * M, dtype=np.float64)
     n = np.arange(N, 2 * N, dtype=np.float64)
-    ys = n[None, :] / n[:, None]
-    ys **= beta_exp
-    ys = ys.ravel()
-    ys.sort()
     count = 0
-    rows = max(1, CELLS // M)
-    for i0 in range(0, M, rows):
-        xs = m[None, :] / m[i0 : i0 + rows, None]
-        xs **= alpha_exp
-        lo = np.searchsorted(ys, xs - theta, side="right")
-        hi = np.searchsorted(ys, xs + theta, side="left")
-        count += int(np.sum(hi - lo))
+    m_rows, n_rows = max(1, CELLS // M), max(1, CELLS // N)
+    for j0 in range(0, N, n_rows):
+        ys = n[None, :] / n[j0 : j0 + n_rows, None]
+        ys **= beta_exp
+        ys = ys.ravel()
+        ys.sort()
+        for i0 in range(0, M, m_rows):
+            xs = m[None, :] / m[i0 : i0 + m_rows, None]
+            xs **= alpha_exp
+            lo = np.searchsorted(ys, xs - theta, side="right")
+            hi = np.searchsorted(ys, xs + theta, side="left")
+            count += int(np.sum(hi - lo))
     bound = M * N * math.log(2 * M * N) + theta * (M * N) ** 2
     return BoundCheckRecord(
         check="quadruples",
@@ -164,7 +162,6 @@ def bilinear_sum_check(
     B: IntervalSubset,
     d: int = 1,
     weights: str = "unit",
-    budget: int = TERM_BUDGET,
 ) -> BoundCheckRecord:
     """|sum over h ~ H0, a, b of e(h sqrt(ab)/d)| against the dispersion bound.
 
@@ -191,8 +188,8 @@ def bilinear_sum_check(
     if len(A) == 0 or len(B) == 0:  # the bound would be 0
         raise InvalidArgumentError("subsets must be nonempty")
     terms = H0 * len(A) * len(B)
-    if terms > budget:
-        raise BudgetError(f"{terms} terms exceed the budget of {budget}")
+    if terms > TERM_BUDGET:
+        raise BudgetError(f"{terms} terms exceed the budget of {TERM_BUDGET}")
 
     N = A.base_N
     a_arr = A.elements.astype(np.float64)

@@ -290,7 +290,8 @@ def mertens_product(z: float, table: PrimeTable) -> MertensProduct:
         raise CoverageError(
             f"prime table limit {table.limit} does not reach all primes below {z}"
         )
-    ps = table.primes[: np.searchsorted(table.primes, z)]  # the primes below z
+    ps = np.arange(2, math.ceil(z), dtype=np.int32)
+    ps = ps[table.spf[2 : math.ceil(z)] == ps]  # the primes below z; rebinding frees the arange
     e = np.zeros(len(ps), dtype=np.int64)  # e[i]: exponent of ps[i] in prod (p - 1)
     for _, q in prime_factor_steps(ps - 1, table):
         np.add.at(e, np.searchsorted(ps, q), 1)  # every q divides some p - 1 < z

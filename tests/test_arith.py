@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from nearsq.arith import (
     PRIME_TABLE_BUDGET,
+    PrimeTable,
     as_fraction,
     build_prime_table,
     near_square_roots,
@@ -55,12 +57,21 @@ def oracle_signature(n):
     return (sig.Omega, sig.nu, sig.mu, sig.tau)
 
 
+def table_primes(table):
+    """The primes up to the table's limit: the n >= 2 with spf[n] == n."""
+    n = np.arange(2, table.limit + 1)
+    return n[table.spf[2:] == n]
+
+
 class TestPrimeTable:
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(PrimeTable)] == ["limit", "spf"]
+
     def test_first_primes(self):
-        assert build_prime_table(10).primes.tolist() == [2, 3, 5, 7]
+        assert table_primes(build_prime_table(10)).tolist() == [2, 3, 5, 7]
 
     def test_boundary(self):
-        assert build_prime_table(2).primes.tolist() == [2]
+        assert table_primes(build_prime_table(2)).tolist() == [2]
 
     def test_invalid_limit(self):
         with pytest.raises(InvalidArgumentError):
@@ -75,7 +86,7 @@ class TestPrimeTable:
         for d in range(2, limit // 2 + 1):
             composite[2 * d :: d] = True
         oracle = int(np.count_nonzero(~composite[2:]))
-        assert len(table.primes) == oracle == 78498
+        assert len(table_primes(table)) == oracle == 78498
 
     def test_spf_divides_and_is_minimal(self, table_100k):
         spf = table_100k.spf
@@ -93,16 +104,27 @@ class TestPrimeTable:
             oracle = trial_division_spf(limit)
             assert table.spf.dtype == np.int32
             assert np.array_equal(table.spf[2:], oracle[2:])
-            assert np.array_equal(table.primes, np.flatnonzero(oracle == np.arange(limit + 1))[2:])
-            assert np.array_equal(table.smallest_prime_factors(np.arange(2, limit + 1)), oracle[2:])
+            oracle_primes = np.flatnonzero(oracle == np.arange(limit + 1))[2:]
+            assert np.array_equal(table_primes(table), oracle_primes)
 
     def test_lookup_edges(self, table_100k):
-        assert table_100k.smallest_prime_factors([]).size == 0
-        with pytest.raises(InvalidArgumentError):
-            table_100k.smallest_prime_factors([1, 4])
-        assert table_100k.smallest_prime_factors([100_000]).tolist() == [2]
-        with pytest.raises(CoverageError):
-            table_100k.smallest_prime_factors([4, 100_001])
+        assert list(prime_factor_steps([], table_100k)) == []
+        # entries <= 1 take no step; 100_000 takes its first at p = 2
+        (index, p), *_ = prime_factor_steps([1, 0, 100_000], table_100k)
+        assert (index.tolist(), p.tolist()) == ([2], [2])
+        with pytest.raises(CoverageError, match="prime table limit 100000 cannot factor 100001"):
+            next(prime_factor_steps([4, 100_001], table_100k))
+
+    def test_allocates_only_spf(self):
+        # the sieve works in place: no mask, no primes array, no temporaries
+        # beyond 256 KiB
+        tracemalloc.start()
+        try:
+            table = build_prime_table(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.spf.nbytes + (256 << 10)
 
     def test_budget_raises_before_allocating(self):
         tracemalloc.start()

@@ -171,8 +171,10 @@ class TestMertens:
         code, out, _ = run_cli(capsys, ["mertens", "--z", "251"])
         assert code == 0
         num = den = 1
-        for p in build_prime_table(250).primes.tolist():
-            num, den = num * (p - 1), den * p
+        spf = build_prime_table(250).spf
+        for p in range(2, 251):
+            if spf[p] == p:  # p is prime
+                num, den = num * (p - 1), den * p
         exact = Fraction(num, den)
         assert exact.denominator.bit_length() == 253
         assert json.loads(out)["product_exact"] == f"{exact.numerator}/{exact.denominator}"

@@ -488,7 +488,7 @@ class TestWeightedSum:
 
 
 class TestFactorPass:
-    """The one lookup behind PrimeTable.smallest_prime_factors against trial division."""
+    """The one spf lookup behind prime_factor_steps against trial division."""
 
     @given(
         st.integers(2, 20_000),
@@ -534,14 +534,16 @@ class TestResidual:
 
     def test_bounded_on_modest_instance(self):
         A = generate_subset(1000, "full")
-        r = normalized_residual(A, A, Fraction(1, 20))
+        nsc = count_near_squares(A, A, Fraction(1, 20))
+        r = normalized_residual(A, A, Fraction(1, 20), nsc=nsc)
         assert abs(r) <= 1.0
 
     def test_undefined_for_empty_set(self):
         A = generate_subset(100, "full")
         empty = generate_subset(100, "explicit", elements=[])
-        assert normalized_residual(A, empty, Fraction(1, 20)) is None
-        assert normalized_residual(empty, A, Fraction(1, 20)) is None
+        for X, Y in ((A, empty), (empty, A)):
+            nsc = count_near_squares(X, Y, Fraction(1, 20))
+            assert normalized_residual(X, Y, Fraction(1, 20), nsc=nsc) is None
 
     def test_main_term_regime_flag(self):
         A = generate_subset(1000, "full")

@@ -44,8 +44,8 @@ def direct_quadruples(M, N, theta, alpha_exp, beta_exp):
     n = np.arange(N, 2 * N, dtype=np.float64)
     xs = ((m[None, :] / m[:, None]) ** alpha_exp).ravel()
     ys = ((n[None, :] / n[:, None]) ** beta_exp).ravel()
-    lo, hi = xs - theta, xs + theta
-    return sum(int(np.count_nonzero((lo < y) & (y < hi))) for y in ys)
+    lo, hi = xs[:, None] - theta, xs[:, None] + theta
+    return int(np.count_nonzero((lo < ys) & (ys < hi)))
 
 
 class TestSawtoothApproximation:
@@ -136,17 +136,33 @@ class TestQuadrupleCount:
 
     def test_budget_error(self):
         with pytest.raises(BudgetError):
-            quadruple_count(200, 200, 0.1, 0.5, 0.5, budget=10**6)
+            quadruple_count(200, 200, 0.1, 0.5, 0.5)
 
     @pytest.mark.parametrize("cells", [1, 7, 40])
     @pytest.mark.parametrize("M,N,theta,alpha,beta", [
         (13, 3, 1e-3, 0.37, 1.3), (6, 11, 0.05, -1.3, 2.5), (9, 9, 1e-6, 0.5, 0.5),
+        (1, 40, 1e-3, 0.5, 0.5), (2, 25, 0.02, -0.7, 1.9), (3, 17, 1e-6, 0.5, 0.5),
+        (30, 2, 0.01, 1.1, -0.4),
     ])
     def test_row_chunks_match_direct_count(self, monkeypatch, cells, M, N, theta, alpha, beta):
-        # chunks of one row, of ragged rows and of whole rows count alike
+        # chunks of one row, of ragged rows and of whole rows count alike,
+        # on the m side and on the n side, however lopsided (M, N) is
         monkeypatch.setattr(expsum, "CELLS", cells)
         assert quadruple_count(M, N, theta, alpha, beta).measured_value == direct_quadruples(
             M, N, theta, alpha, beta)
+
+    def test_lopsided_n_edge_holds_no_square_array(self):
+        # M = 1, N = 2000: the N^2 ratios of n would take 32 MB as one sorted
+        # array; they are sorted CELLS // N rows at a time
+        N, theta = 2000, 1e-3
+        tracemalloc.start()
+        try:
+            rec = quadruple_count(1, N, theta, 0.5, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < N * N  # bytes: an eighth of one N^2 float64 array
+        assert rec.measured_value == direct_quadruples(1, N, theta, 0.5, 0.5) > N
 
     def test_lopsided_edge_holds_no_square_array(self):
         # M = 2000, N = 1: one M^2 float64 array would take 32 MB; the ratios
@@ -245,7 +261,7 @@ class TestBilinearSum:
     def test_budget_error(self):
         A = generate_subset(2000, "full")
         with pytest.raises(BudgetError):
-            bilinear_sum_check(100, A, A, budget=10**6)
+            bilinear_sum_check(100, A, A)
 
     @pytest.mark.parametrize("weights,d", [("unit", 3), ("adversarial", 2)])
     def test_measured_value_independent_of_loop_order(self, weights, d):

@@ -272,8 +272,9 @@ class TestMertens:
     def _oracle(z, table) -> Fraction:
         # the route without cancellation: one gcd over the two full products
         num = den = 1
-        for p in table.primes[table.primes < z].tolist():
-            num, den = num * (p - 1), den * p
+        for p in range(2, math.ceil(z)):
+            if table.spf[p] == p:  # p is prime
+                num, den = num * (p - 1), den * p
         return Fraction(num, den)
 
     def test_lowest_terms_against_the_gcd_route(self, table_100k):
