@@ -10,7 +10,8 @@ strings; ``dispatch`` defaults, checks and converts every value the same way,
 whether it came from a flag, a ``--config`` file or a RunConfig built in code.
 A run is a command and its parameters, nothing else.  ``sweep`` adds no
 computation of its own: each of its rows is one run of the command that
-``SWEEPS`` names for its target, and its cells are keys of that run's report.
+``SWEEPS`` names for its target, and its cells are keys of that run's report
+(an ``experiment`` row skips the root analysis, which none of its cells read).
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .errors import (
     exit_code_for,
 )
 from .experiments import (
+    NearSquareCount,
     almost_prime_count,
     check_d_max,
     count_near_squares,
@@ -258,10 +260,14 @@ def _cmd_expsum_check(p: dict) -> dict:
     return {**asdict(rec), "ratio": rec.ratio}
 
 
-def _cmd_experiment(p: dict) -> dict:
+def _experiment_count(p: dict) -> tuple[NearSquareCount, dict, dict]:
+    """The count of an ``experiment`` run and its report keys that need no root analysis.
+
+    Returns the count, the report keys before the root analysis and those
+    after it, so that ``_cmd_experiment`` can put the analysis in between.
+    """
     N, density, k, d_max = p["N"], p["density"], p["k"], p["d_max"]
     kind = p["kind"] or ("bernoulli" if density else "full")
-    t0 = time.perf_counter()
     A = generate_subset(N, kind, density=density, seed=p["seed"])
     B = generate_subset(N, kind, density=density, seed=p["seed"] + 1)
     delta = p["delta"]
@@ -278,15 +284,7 @@ def _cmd_experiment(p: dict) -> dict:
 
     nsc = count_near_squares(A, B, delta, max_pairs=p["max_pairs"])
     dec = sieve_decomposition(nsc, len(A), len(B), d_max)
-    table = build_prime_table(2 * N + 2)
-    z = (3.0 * N) ** (1.0 / (k + 1))
-    sifted = sifting_function(nsc, z, table)
-    almost = almost_prime_count(nsc, k, table)
-    residual = normalized_residual(A, B, delta, nsc=nsc)
-    elapsed = time.perf_counter() - t0
-
-    truncated = {str(d): dec.counts[d] for d in sorted(dec.counts)[:20]}
-    report = {
+    head = {
         "config": {
             "N": N,
             "kind": kind,
@@ -301,17 +299,40 @@ def _cmd_experiment(p: dict) -> dict:
         "H": nsc.H_count,
         "distinct": nsc.distinct_count,
         "X": float(dec.X),
-        "residual": residual,
+        "residual": normalized_residual(A, B, delta, nsc=nsc),
         "main_term_dominant": main_term_dominant(A, B),
         "boundary_margin": nsc.boundary_margin if nsc.pair_total else None,
         "exact_fallbacks": nsc.exact_fallbacks,
+    }
+    tail = {
+        "scaled_remainder_max_d50": dec.scaled_remainder_max(50),
+        "sieve_counts_by_d": {str(d): dec.counts[d] for d in sorted(dec.counts)[:20]},
+    }
+    return nsc, head, tail
+
+
+def _experiment_row(p: dict) -> dict:
+    """An ``experiment`` report without the root analysis, for sweep rows that read none of it."""
+    _, head, tail = _experiment_count(p)
+    return {**head, **tail}
+
+
+def _cmd_experiment(p: dict) -> dict:
+    t0 = time.perf_counter()
+    nsc, head, tail = _experiment_count(p)
+    N, k = nsc.base_N, p["k"]
+    table = build_prime_table(2 * N + 2)
+    z = (3.0 * N) ** (1.0 / (k + 1))
+    sifted = sifting_function(nsc, z, table)
+    almost = almost_prime_count(nsc, k, table)
+    report = {
+        **head,
         "sifted": sifted,
         "almost_prime": {"k": k, "multiset": almost.multiset_count, "distinct": almost.distinct_count},
-        "scaled_remainder_max_d50": dec.scaled_remainder_max(50),
-        "sieve_counts_by_d": truncated,
+        **tail,
     }
     if p["timing"]:
-        report["timing_seconds"] = elapsed
+        report["timing_seconds"] = time.perf_counter() - t0
     return report
 
 
@@ -338,15 +359,14 @@ def _cmd_sweep(p: dict) -> str:
         runs = [{"check": "quadruples", "M": m, "N": m, "theta": p["theta"]} for m in p["sizes"]]
     else:
         runs = [{"check": "bilinear", "N": n, "H0": p["H0"], "d": p["d"]} for n in p["sizes"]]
-    command, columns = SWEEPS[target]
+    columns = SWEEPS[target][2]
     checkpoint, done = p["checkpoint"], 0
     if checkpoint and os.path.exists(checkpoint):
         with open(checkpoint) as fh:
             text = fh.read().strip()
         done = int(text) if text.isdigit() else 0  # an unreadable count resumes from 0
     keys = tuple(columns.values())
-    rows = _parallel_map(_sweep_row, [(RunConfig(command, run), keys) for run in runs[done:]],
-                         p["threads"])
+    rows = _parallel_map(_sweep_row, [(target, run, keys) for run in runs[done:]], p["threads"])
     if checkpoint:
         with open(checkpoint, "w") as fh:
             fh.write(str(len(runs)))
@@ -355,9 +375,9 @@ def _cmd_sweep(p: dict) -> str:
 
 def _sweep_row(task: tuple) -> list:
     """The cells of one run's report, each named by a dotted key such as ``sizes.A``."""
-    config, keys = task
-    handler, _, _, params = COMMANDS[config.command]
-    report = handler(_resolve(config, params))
+    target, run, keys = task
+    command, handler, _ = SWEEPS[target]
+    report = handler(_resolve(RunConfig(command, run), COMMANDS[command][3]))
     return [functools.reduce(operator.getitem, key.split("."), report) for key in keys]
 
 
@@ -368,20 +388,25 @@ def _parallel_map(fn, args, threads: int) -> list:
         return pool.map(fn, args)  # ordered, deterministic merge
 
 
-# sweep target -> (command each row runs, {CSV column: key of that command's report})
+# sweep target -> (command whose parameters a row takes, handler that makes the
+# row's report, {CSV column: key of that report}).  Experiment rows read no
+# root analysis, so they skip it: their report is the command's without it.
 SWEEPS = {
-    "constant": ("constant", {c: c for c in ("delta", "k", "value", "value_unsimplified",
-                                             "discrepancy", "quad_error")}),
-    "residual": ("experiment", {"N": "config.N", "seed": "config.seed", "size_A": "sizes.A",
-                                "size_B": "sizes.B", "H": "H", "residual": "residual"}),
-    "remainder": ("experiment", {"N": "config.N", "delta": "config.delta_float", "H": "H",
-                                 "X": "X", "scaled_remainder_max": "scaled_remainder_max_d50"}),
-    "quadruples": ("expsum-check", {"M": "params.M", "N": "params.N", "theta": "params.theta",
-                                    "measured": "measured_value", "bound": "bound_value",
-                                    "ratio": "ratio"}),
-    "bilinear": ("expsum-check", {"N": "params.N", "H0": "params.H0", "d": "params.d",
-                                  "measured": "measured_value", "bound": "bound_value",
-                                  "ratio": "ratio"}),
+    "constant": ("constant", _cmd_constant,
+                 {c: c for c in ("delta", "k", "value", "value_unsimplified", "discrepancy",
+                                 "quad_error")}),
+    "residual": ("experiment", _experiment_row,
+                 {"N": "config.N", "seed": "config.seed", "size_A": "sizes.A",
+                  "size_B": "sizes.B", "H": "H", "residual": "residual"}),
+    "remainder": ("experiment", _experiment_row,
+                  {"N": "config.N", "delta": "config.delta_float", "H": "H", "X": "X",
+                   "scaled_remainder_max": "scaled_remainder_max_d50"}),
+    "quadruples": ("expsum-check", _cmd_expsum_check,
+                   {"M": "params.M", "N": "params.N", "theta": "params.theta",
+                    "measured": "measured_value", "bound": "bound_value", "ratio": "ratio"}),
+    "bilinear": ("expsum-check", _cmd_expsum_check,
+                 {"N": "params.N", "H0": "params.H0", "d": "params.d",
+                  "measured": "measured_value", "bound": "bound_value", "ratio": "ratio"}),
 }
 
 SEED = Param("--seed", _int, 0, help="deterministic RNG seed")

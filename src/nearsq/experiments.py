@@ -22,6 +22,9 @@ PAIR_BUDGET_DEFAULT = 10**9
 D_MAX_BUDGET = 10**5  # largest d_max of sieve_decomposition: one exact remainder per d
 TILE = 128  # side of the square tiles of the pair pass when A = B
 CELLS = TILE * TILE  # products decided per tile of the pair pass
+WINDOW_ROWS = 64  # rows of A per tile of the window pass, which holds at most CELLS windows
+WINDOW_FACTOR = 1.0  # the window pass runs when WINDOW_FACTOR * windows < decided pairs
+SCREEN = 1024  # screened endpoints per window pass, over 4: tau = SCREEN / windows
 
 
 @dataclass(frozen=True)
@@ -213,6 +216,200 @@ class _PairPass:
                     self.counts[root - self.off] += w
 
 
+class _WindowPass:
+    """Window counts on tiles of rows a of A against roots l, for delta > 1/2.
+
+    For a row a and a root l the b with |sqrt(ab) - l| < delta are the b
+    strictly inside x = (l - delta)^2 / a and y = (l + delta)^2 / a, whose
+    number is C(ceil(y) - 1) - C(floor(x)) for the prefix count
+    C(t) = #{b in B : b <= t}.  A tile is a few rows against a cut of their l
+    range, one column per l, so its counts are one ``sum(axis=0)`` added into
+    ``counts``.  When A = B only b > a is counted: both indices of a row are
+    clipped up to a, the counts are doubled, and the diagonal adds 1 at l = a.
+
+    **Margin.**  The endpoints are computed as x^ = fl(fl(fl(l - df)^2) *
+    fl(1/a)), and y^ alike with l + df, where df = fl(delta).  Here
+    a >= N + 1 and l <= 2N + 2, so every endpoint lies below 4(N + 4), and
+    eps * v < S = spacing(4(N + 4)) for such v, with eps = 2^-53.
+    |df - delta| <= eps * delta and the subtraction add at most eps (l + 1)
+    to u = l - delta; squaring turns that into at most 2 u eps (l + 1) / a
+    < 2 eps * 4(N + 4) < 2S of x, and the square, the reciprocal and the
+    product each add a relative eps, 3S(1 + eps) more: |x^ - x| < 6S, and
+    the same for y.  The pass reads g = (x^ - 1/2) - rint(x^ - 1/2), which
+    is frac(x^) - 1/2 exactly.  When |g| < 1/2 - ``margin``, with
+    ``margin`` = 8S (2S covers the rounding of that threshold), x^ lies
+    more than 6S from every integer, so x lies strictly between the same two
+    integers and floor(x) = rint(x^ - 1/2); for y, ceil(y) - 1 =
+    rint(y^ - 1/2).  The other endpoints are floored in integers:
+    floor(x) = P // Q and ceil(y) - 1 = (P' - 1) // Q with
+    P = (den l - num)^2, P' = (den l + num)^2 and Q = den^2 a.
+
+    **The pair pass's margin and fallbacks.**  ``boundary_margin`` and
+    ``exact_fallbacks`` are per-pair quantities of ``_PairPass``.  A pair
+    whose root lies within g < 1 of an edge e = l -+ df has
+    |b - e^2 / a| < g (2 sqrt(b / a) + g / a) < 4g.  So the endpoints
+    within ``tau`` (at least ``margin``) of an integer are screened, and the
+    b of B next to them (b >= a when A = B) make the candidate pairs.  Every
+    other pair lies at least (tau - margin) / 4 from every edge, and its
+    float gap, which is within the pair margin of its exact gap, at least
+    ``cert`` = (tau - margin) / 4 - 2 * pair margin.  The candidates are
+    decided by ``_PairPass`` itself, into a count of their own.  When their
+    smallest gap lies below ``cert`` and the pair margin does too, that gap
+    is the pair pass's minimum, and every pair within the pair margin is a
+    candidate: the minimum and the fallbacks are the pair pass's, bit for
+    bit.  Otherwise the screen is not certified.
+    """
+
+    def __init__(self, delta: Fraction, N: int, B: np.ndarray, symmetric: bool,
+                 counts: np.ndarray, off: int, cells: int, tau: float):
+        self.num, self.den = delta.numerator, delta.denominator
+        self.symmetric = symmetric
+        self.margin = 8.0 * np.spacing(4.0 * (N + 4))
+        self.tau = max(tau, self.margin)
+        self.thr = 0.5 - self.tau  # |f - 1/2| >= thr: f within tau of 0 or 1
+        self.counts, self.off = counts, off
+        roots = np.arange(off, off + len(counts), dtype=np.float64)
+        df = float(delta)
+        self.lo_edge, self.hi_edge = (roots - df) ** 2, (roots + df) ** 2
+        # C(t) for t in [0, 2N]; np.take(mode="clip") reads C(2N) = |B| above 2N
+        self.C = np.zeros(2 * N + 1, dtype=np.int32)
+        self.C[B] = 1
+        np.cumsum(self.C, out=self.C)
+        self.x, self.y, self.r = (np.empty(cells) for _ in range(3))
+        self.ix, self.iy = (np.empty(cells, dtype=np.intp) for _ in range(2))
+        self.slow = np.empty(cells + 7, dtype=bool)
+        self.member = np.zeros(2 * N + 2, dtype=bool)  # b in B, for b in [0, 2N + 1]
+        self.member[B] = True
+        self.stride = 2 * N + 1  # a candidate pair (a, b) is kept as a * stride + b
+        self.candidates: list[np.ndarray] = []
+
+    def _screen(self, ks: np.ndarray, a_rows: np.ndarray, l0: int, cols: int) -> None:
+        """Floor the screened endpoints ``ks`` of the tile exactly; keep their candidate pairs."""
+        a = a_rows.astype(np.int64)[ks // cols]
+        num, den = self.num, self.den
+        for v, iv, sign in ((self.x, self.ix, -1), (self.y, self.iy, 1)):
+            g = v[ks]
+            exact = g >= 0.5 - self.margin
+            for k, row in zip(ks[exact].tolist(), a[exact].tolist()):
+                # floor(x) = P // Q; for y, ceil(y) - 1 = (P' - 1) // Q
+                P = (den * (l0 + k % cols) + sign * num) ** 2
+                iv[k] = (P - (sign > 0)) // (den * den * row)
+            near = g >= self.thr
+            b, rows = iv[ks[near]], a[near]
+            b, rows = np.concatenate((b, b + 1)), np.concatenate((rows, rows))
+            keep = np.take(self.member, b, mode="clip")
+            if self.symmetric:
+                keep &= b >= rows
+            if keep.any():
+                self.candidates.append(rows[keep] * self.stride + b[keep])
+
+    def tile(self, a_rows: np.ndarray, inv_a: np.ndarray, l0: int, l1: int) -> None:
+        """Add the counts of the windows of ``a_rows`` at roots l0 .. l1 - 1."""
+        rows, cols = len(a_rows), l1 - l0
+        c = rows * cols
+        x, y, r, ix, iy = (v[:c] for v in (self.x, self.y, self.r, self.ix, self.iy))
+        slow = self.slow
+        shape = (rows, cols)
+        e0, e1 = l0 - self.off, l1 - self.off
+        np.multiply.outer(inv_a, self.lo_edge[e0:e1], out=x.reshape(shape))
+        np.multiply.outer(inv_a, self.hi_edge[e0:e1], out=y.reshape(shape))
+        for v, iv in ((x, ix), (y, iy)):
+            # g = (v - 1/2) - rint(v - 1/2) is frac(v) - 1/2, exactly; where
+            # |g| < thr, rint(v - 1/2) is floor(v)
+            np.subtract(v, 0.5, out=v)
+            np.rint(v, out=r)
+            np.subtract(v, r, out=v)
+            np.abs(v, out=v)
+            np.copyto(iv, r, casting="unsafe")
+        np.maximum(x, y, out=r)
+        np.greater_equal(r, self.thr, out=slow[:c])
+        # the slow windows are few: find the nonzero 8-byte words of the mask first
+        slow[c : c + 7] = False
+        words = np.flatnonzero(slow[: -(-c // 8) * 8].view(np.uint64))
+        ks = (8 * words[:, None] + np.arange(8)).ravel()
+        ks = ks[slow[ks]]
+        if len(ks):
+            self._screen(ks, a_rows, l0, cols)
+        # count only b > a when A = B; at roots l > a both endpoints exceed a
+        # already, as (l - delta)^2 > a^2
+        below = min(cols, int(a_rows[-1]) + 1 - l0) if self.symmetric else 0
+        if below > 0:
+            a_col = a_rows.astype(np.intp)[:, None]
+            for iv in (ix, iy):
+                clip = iv.reshape(shape)[:, :below]
+                np.maximum(clip, a_col, out=clip)
+        # the prefix counts take the bytes of r, which is read no more
+        cx, cy = r.view(np.int32)[:c], r.view(np.int32)[c:]
+        np.take(self.C, ix, mode="clip", out=cx)
+        np.take(self.C, iy, mode="clip", out=cy)
+        np.subtract(cy, cx, out=cy)
+        hits = cy.reshape(shape).sum(axis=0)
+        self.counts[e0:e1] += 2 * hits if self.symmetric else hits
+
+
+def _window_count(A: np.ndarray, B: np.ndarray, symmetric: bool, delta: Fraction, N: int,
+                  counts: np.ndarray, off: int, cells: float) -> tuple[float, int] | None:
+    """Count A x B into ``counts`` by windows; the pair pass's margin and
+    fallbacks, or None when the screen cannot certify them (see ``_WindowPass``)."""
+    if len(A) == 0 or len(B) == 0:
+        return None
+    rows = WINDOW_ROWS
+    cols = max(1, CELLS // rows)
+    wp = _WindowPass(delta, N, B, symmetric, counts, off, min(len(A), rows) * cols,
+                     min(SCREEN / cells, 0.125))
+    a_f = A.astype(np.float64)
+    inv_a = 1.0 / a_f
+    b_hi = int(B[-1])
+    for i0 in range(0, len(A), rows):
+        a_first, a_last = int(A[i0]), int(A[min(i0 + rows, len(A)) - 1])
+        # every root within 1 of sqrt(ab) for some b of the rows' range
+        l_lo = math.isqrt(a_first * (a_first if symmetric else int(B[0]))) - 1
+        l_hi = math.isqrt(a_last * b_hi) + 2
+        cuts = -(-(l_hi + 1 - l_lo) // cols)  # the fewest cuts of at most cols roots, evened
+        edges = np.linspace(l_lo, l_hi + 1, cuts + 1).round().astype(int)
+        for l0, l1 in zip(edges[:-1], edges[1:]):
+            wp.tile(a_f[i0 : i0 + rows], inv_a[i0 : i0 + rows], int(l0), int(l1))
+    if symmetric:
+        counts[A - off] += 1  # the diagonal: sqrt(a * a) = a
+    keys = np.sort(np.concatenate([np.empty(0, dtype=np.int64)] + wp.candidates))
+    if not len(keys):
+        return None
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]  # np.unique imports numpy.ma
+    a_c, b_c = np.divmod(keys, wp.stride)
+    chunk = max(1, CELLS // 4)
+    screen = _PairPass(delta, N, np.zeros_like(counts), off, min(len(keys), chunk))
+    weight = np.where(symmetric & (b_c != a_c), 2, 1)  # a pair and its mirror when A = B
+    for w in (1, 2):
+        prods = (a_c * b_c)[weight == w]
+        for j in range(0, len(prods), chunk):
+            c = len(prods[j : j + chunk])
+            screen.prod[:c] = prods[j : j + chunk]
+            screen.decide(c, w)
+    cert = (wp.tau - wp.margin) / 4 - 2 * screen.margin
+    if screen.min_margin < cert and screen.margin < cert:
+        return screen.min_margin, screen.fallbacks
+    return None
+
+
+def _pair_count(a_f: np.ndarray, b_f: np.ndarray, symmetric: bool, delta: Fraction, N: int,
+                counts: np.ndarray, off: int) -> tuple[float, int]:
+    """Count A x B into ``counts`` pair by pair; its minimum margin and fallbacks."""
+    if symmetric:
+        rows = cols = TILE
+    else:
+        cols = max(1, min(len(b_f), CELLS))  # an empty B runs no tiles, not CELLS // 0
+        rows = CELLS // cols
+    pp = _PairPass(delta, N, counts, off, min(len(a_f), rows) * min(len(b_f), cols))
+    for i0 in range(0, len(a_f), rows):
+        a_rows = a_f[i0 : i0 + rows]
+        for j0 in range(i0 if symmetric else 0, len(b_f), cols):
+            b_cols = b_f[j0 : j0 + cols]
+            c = len(a_rows) * len(b_cols)
+            np.multiply.outer(a_rows, b_cols, out=pp.prod[:c].reshape(len(a_rows), len(b_cols)))
+            pp.decide(c, 2 if symmetric and j0 > i0 else 1)
+    return pp.min_margin, pp.fallbacks
+
+
 def count_near_squares(
     A: IntervalSubset,
     B: IntervalSubset,
@@ -228,16 +425,33 @@ def count_near_squares(
     integer arithmetic.  Values 1/2 < delta < 1 are supported; a pair may
     then contribute two rounded values, and H_count counts incidences.
 
-    The pairs are decided in tiles of the product matrix, each of at most
-    ``CELLS`` products.  For distinct sets a tile is ``CELLS // cols`` rows of
-    A against ``cols = min(|B|, CELLS)`` consecutive elements of B, so a row
-    longer than ``CELLS`` is cut.  When A and B hold the same elements, a
-    pair and its mirror have the same product, hence the same decisions,
-    roots and margin: the tiles are then ``TILE x TILE`` squares on and above
-    the diagonal.  A square above it stands in for its mirror too and takes
-    weight 2; a square on it holds each of its pairs and their mirrors, and
-    takes weight 1.  The work buffers are allocated once per call, not per
-    tile (see ``_PairPass``).
+    Two passes count, with the same results to the last bit:
+
+    - The window pass (``_WindowPass``, where its margin is proven) counts,
+      for each a of A and each root l, the b of B inside the window of l at
+      once from a prefix count of B: about 0.22 N |A| windows when A = B and
+      0.5 N |A| otherwise, whatever |B| is.  It runs when delta > 1/2 and
+      ``WINDOW_FACTOR`` times its windows are fewer than the pairs the pair
+      pass decides, |A|(|A| + 1)/2 when A = B and |A||B| otherwise.  At
+      N = 5000, delta = N^-0.05 and Bernoulli densities 0.2-1, a window cost
+      0.55-0.95 times a decided pair when A = B, and 0.57-0.84 times when
+      A != B, so the factor is 1: the window pass runs from |A| = 0.44 N
+      when A = B and from |B| = 0.5 N when A != B, a little past the
+      measured crossovers near 0.35 N and 0.3 N.  One-sided windows
+      (delta <= 1/2) gained nothing when measured, so they stay on the pair
+      pass.  When its screen cannot certify the pair pass's margin and
+      fallbacks, the count is made again by the pair pass.
+    - The pair pass (``_PairPass``) decides the pairs in tiles of the product
+      matrix, each of at most ``CELLS`` products.  For distinct sets a tile
+      is ``CELLS // cols`` rows of A against ``cols = min(|B|, CELLS)``
+      consecutive elements of B, so a row longer than ``CELLS`` is cut.
+      When A and B hold the same elements, a pair and its mirror have the
+      same product, hence the same decisions, roots and margin: the tiles
+      are then ``TILE x TILE`` squares on and above the diagonal.  A square
+      above it stands in for its mirror too and takes weight 2; a square on
+      it holds each of its pairs and their mirrors, and takes weight 1.
+
+    Each pass allocates its work buffers once per call, not per tile.
     """
     if A.base_N != B.base_N:
         raise InvalidArgumentError("both subsets must share the same base N")
@@ -254,23 +468,20 @@ def count_near_squares(
     # every root of a product in (N^2, 4N^2], and its far neighbour, lies in
     # N - 1 .. 2N + 2
     counts, off = np.zeros(N + 4, dtype=np.int64), N - 1
-    # below 2**53 every product of two elements is exact in float64
-    a_f = A.elements.astype(np.float64)
-    b_f = B.elements.astype(np.float64)
     symmetric = np.array_equal(A.elements, B.elements)
     if symmetric:
-        rows = cols = TILE
+        cells, pairs = 0.22 * N * len(A), len(A) * (len(A) + 1) / 2
     else:
-        cols = max(1, min(len(b_f), CELLS))  # an empty B runs no tiles, not CELLS // 0
-        rows = CELLS // cols
-    pp = _PairPass(delta, N, counts, off, min(len(a_f), rows) * min(len(b_f), cols))
-    for i0 in range(0, len(a_f), rows):
-        a_rows = a_f[i0 : i0 + rows]
-        for j0 in range(i0 if symmetric else 0, len(b_f), cols):
-            b_cols = b_f[j0 : j0 + cols]
-            c = len(a_rows) * len(b_cols)
-            np.multiply.outer(a_rows, b_cols, out=pp.prod[:c].reshape(len(a_rows), len(b_cols)))
-            pp.decide(c, 2 if symmetric and j0 > i0 else 1)
+        cells, pairs = 0.5 * N * len(A), n_pairs
+    got = None
+    if delta > Fraction(1, 2) and WINDOW_FACTOR * cells < pairs:
+        got = _window_count(A.elements, B.elements, symmetric, delta, N, counts, off, cells)
+    if got is None:
+        counts[:] = 0  # an uncertified window pass leaves its counts behind
+        # below 2**53 every product of two elements is exact in float64
+        got = _pair_count(A.elements.astype(np.float64), B.elements.astype(np.float64),
+                          symmetric, delta, N, counts, off)
+    margin, fallbacks = got
     return NearSquareCount(
         delta=delta,
         base_N=N,
@@ -280,8 +491,8 @@ def count_near_squares(
         multiplicities=counts,
         l_offset=off,
         distinct_count=int(np.count_nonzero(counts)),
-        boundary_margin=pp.min_margin,
-        exact_fallbacks=pp.fallbacks,
+        boundary_margin=margin,
+        exact_fallbacks=fallbacks,
     )
 
 
@@ -417,11 +628,16 @@ def normalized_residual(
 ) -> float | None:
     """(H - 2*delta*|A|*|B|) / (N * (|A||B|)^(1/4) * log(N)^(3/2)).
 
-    H and delta are read off ``nsc``, the count of A x B at ``delta``.  The
-    numerator is exact; the asymptotic main-term statement asserts this
-    ratio stays bounded once |A||B| clears N^(4/3).  It is undefined, and
-    None is returned, when A or B is empty.
+    H is read off ``nsc``, which must be the count of A x B at ``delta``: a
+    count of other sizes, another base N or another window raises
+    ``InvalidArgumentError``.  The numerator is exact; the asymptotic
+    main-term statement asserts this ratio stays bounded once |A||B| clears
+    N^(4/3).  It is undefined, and None is returned, when A or B is empty.
     """
+    if (as_fraction(delta), A.base_N, len(A), len(B)) != (
+        nsc.delta, nsc.base_N, nsc.A_size, nsc.B_size
+    ):
+        raise InvalidArgumentError("the count was not made on these sets at this window")
     if len(A) == 0 or len(B) == 0:
         return None
     X = 2 * nsc.delta * len(A) * len(B)

@@ -276,6 +276,17 @@ class TestSweep:
                          else str(value))
         assert row.split(",") == cells
 
+    def test_experiment_rows_skip_the_root_analysis(self, capsys, monkeypatch):
+        # no residual or remainder column reads the sifted roots, so no row
+        # builds the prime table that sifts them
+        def no_table(limit):
+            raise AssertionError(f"prime table of {limit} built")
+
+        monkeypatch.setattr(cli, "build_prime_table", no_table)
+        for target in ("residual", "remainder"):
+            code, out, err = run_cli(capsys, ["sweep", "--target", target, "--N-list", "200,300"])
+            assert (code, err, len(out.splitlines())) == (0, "", 3)
+
     def test_checkpoint_resume(self, capsys, tmp_path):
         ck = tmp_path / "sweep.ck"
         argv = [

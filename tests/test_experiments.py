@@ -346,6 +346,100 @@ class TestCountNearSquares:
                 assert recount_float(A, B, delta) == nsc.H_count
 
 
+def count_both_ways(monkeypatch, A, B, delta, window_tiles=None):
+    """The count of A x B by the pair pass and by the window pass, and whether
+    the window pass fell back on the pair pass (its screen did not certify)."""
+    monkeypatch.setattr(experiments, "WINDOW_FACTOR", math.inf)
+    pairs = count_near_squares(A, B, delta)
+    monkeypatch.setattr(experiments, "WINDOW_FACTOR", 0.0)
+    if window_tiles:
+        monkeypatch.setattr(experiments, "WINDOW_ROWS", window_tiles[0])
+        monkeypatch.setattr(experiments, "CELLS", window_tiles[1])
+    calls = []
+    pair_count = experiments._pair_count
+    monkeypatch.setattr(experiments, "_pair_count", lambda *args: calls.append(1) or pair_count(*args))
+    windows = count_near_squares(A, B, delta)
+    monkeypatch.undo()
+    return pairs, windows, bool(calls)
+
+
+def assert_same_count(x, y):
+    assert np.array_equal(x.multiplicities, y.multiplicities)
+    assert (x.H_count, x.l_offset, x.distinct_count, repr(x.boundary_margin), x.exact_fallbacks) == (
+        y.H_count, y.l_offset, y.distinct_count, repr(y.boundary_margin), y.exact_fallbacks)
+
+
+TWO_SIDED_WINDOWS = tuple(d for d in MARGIN_WINDOWS if d > Fraction(1, 2))
+
+
+class TestWindowPass:
+    """The window pass against the pair pass, field by field, where delta > 1/2."""
+
+    @pytest.mark.parametrize("N", [50, 200, 1000])
+    def test_equal_to_the_pair_pass(self, monkeypatch, N):
+        # full A = A, Bernoulli(0.9) A != B, Bernoulli(0.3) A = A and
+        # Bernoulli(0.05) against full; the windows at 1 - 2^-50 send every
+        # square product to the exact fallback
+        full = generate_subset(N, "full")
+        shapes = [(full, full),
+                  (generate_subset(N, "bernoulli", density=0.9, seed=1),
+                   generate_subset(N, "bernoulli", density=0.9, seed=2)),
+                  (generate_subset(N, "bernoulli", density=0.3, seed=3),) * 2,
+                  (generate_subset(N, "bernoulli", density=0.05, seed=4), full)]
+        certified = fallbacks = 0
+        for A, B in shapes:
+            for delta in (float(N) ** -0.05,) + TWO_SIDED_WINDOWS:
+                pairs, windows, fell_back = count_both_ways(monkeypatch, A, B, delta)
+                assert_same_count(pairs, windows)
+                certified += not fell_back
+                fallbacks += windows.exact_fallbacks
+        assert certified >= 12 and fallbacks > 0
+
+    @pytest.mark.parametrize("tiles", [(1, 2), (3, 7), (5, 64)])
+    def test_small_window_tiles(self, monkeypatch, tiles):
+        # tiles of a few rows and a few roots, so that the l ranges are cut
+        prng = random.Random(tiles[1])
+        for _ in range(2):
+            A, B = random_instance(prng, n_max=60)
+            for X, Y in ((A, A), (A, B), (B, A)):
+                for delta in TWO_SIDED_WINDOWS:
+                    assert_same_count(*count_both_ways(monkeypatch, X, Y, delta, tiles)[:2])
+
+    def test_empty_and_single_rows(self, monkeypatch):
+        N = 100
+        one = generate_subset(N, "explicit", elements=[150])
+        empty = generate_subset(N, "explicit", elements=[])
+        full = generate_subset(N, "full")
+        for A, B in ((full, empty), (empty, full), (one, full), (full, one), (one, one)):
+            for delta in TWO_SIDED_WINDOWS:
+                assert_same_count(*count_both_ways(monkeypatch, A, B, delta)[:2])
+
+    def test_uncertified_screen_falls_back(self, monkeypatch):
+        # one pair (a, a): its gaps are delta and 1 - delta, no window edge
+        # lies near an integer, and the screen has no candidate
+        one = generate_subset(100, "explicit", elements=[150])
+        pairs, windows, fell_back = count_both_ways(monkeypatch, one, one, Fraction(2, 3))
+        assert fell_back
+        assert_same_count(pairs, windows)
+        assert repr(windows.boundary_margin) == repr(1 - 2 / 3)
+
+    def test_dense_instances_take_the_window_pass(self, monkeypatch):
+        calls = []
+        pair_count = experiments._pair_count
+        monkeypatch.setattr(experiments, "_pair_count", lambda *args: calls.append(1) or pair_count(*args))
+        N = 2000
+        full = generate_subset(N, "full")
+        sparse = generate_subset(N, "bernoulli", density=0.3, seed=1)
+        count_near_squares(full, full, float(N) ** -0.05)
+        count_near_squares(full, generate_subset(N, "bernoulli", density=0.9, seed=2), Fraction(2, 3))
+        assert not calls
+        # one-sided windows and sparse sets stay on the pair pass
+        count_near_squares(full, full, Fraction(1, 2))
+        count_near_squares(sparse, sparse, Fraction(2, 3))
+        count_near_squares(full, sparse, Fraction(2, 3))
+        assert len(calls) == 3
+
+
 class TestSieveDecomposition:
     def test_unit_modulus_is_definitional(self):
         A = generate_subset(300, "bernoulli", density=0.6, seed=2)
@@ -544,6 +638,18 @@ class TestResidual:
         for X, Y in ((A, empty), (empty, A)):
             nsc = count_near_squares(X, Y, Fraction(1, 20))
             assert normalized_residual(X, Y, Fraction(1, 20), nsc=nsc) is None
+
+    def test_rejects_a_count_of_other_sets_or_window(self):
+        A = generate_subset(100, "full")
+        B = generate_subset(100, "explicit", elements=[101, 150])
+        nsc = count_near_squares(A, B, Fraction(1, 20))
+        assert normalized_residual(A, B, "1/20", nsc=nsc) is not None
+        # the float 0.05 snaps to its binary value, which is not 1/20
+        for args in ((A, B, 0.05), (A, B, Fraction(1, 10)), (B, A, Fraction(1, 20)),
+                     (A, A, Fraction(1, 20)),
+                     (generate_subset(101, "full"), B, Fraction(1, 20))):
+            with pytest.raises(InvalidArgumentError):
+                normalized_residual(*args, nsc=nsc)
 
     def test_main_term_regime_flag(self):
         A = generate_subset(1000, "full")

@@ -1,0 +1,53 @@
+"""Golden `experiment` reports: each argv in ``golden_experiment.json`` replayed in process.
+
+The file maps each argv (joined by spaces) to the stdout and exit code it
+gave when it was recorded.  A change that alters report bytes on purpose
+regenerates the file with ``python tests/test_golden.py`` and lists every
+changed entry in CHANGES.md.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from nearsq.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_experiment.json")
+
+# full and Bernoulli(0.9) sets at two sizes, at windows on both sides of 1/2,
+# and two sweeps whose rows run the experiment handler
+ARGVS = [
+    ["experiment", "--N", str(N), *sets, *window]
+    for N in (300, 2000)
+    for sets in ([], ["--density", "0.9"])
+    for window in (["--delta-exp", "0.05"], ["--delta", "2/3"], ["--delta", "1/20"])
+] + [
+    ["sweep", "--target", "remainder", "--N-list", "100,500"],
+    ["sweep", "--target", "residual", "--N-list", "300,1000", "--seeds", "0:2",
+     "--density", "0.8", "--delta", "2/3"],
+]
+
+
+def replay(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return {"stdout": out.getvalue(), "exit": code}
+
+
+def write_golden():
+    """Record every entry of ``ARGVS`` with the code as it stands."""
+    golden = {" ".join(argv): replay(argv) for argv in ARGVS}
+    GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
+
+
+@pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+def test_report_matches_golden(argv):
+    assert replay(argv) == json.loads(GOLDEN.read_text())[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    write_golden()
