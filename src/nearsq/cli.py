@@ -17,11 +17,9 @@ computation of its own: each of its rows is one run of the command that
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import math
-import operator
 import os
 import sys
 import time
@@ -67,7 +65,7 @@ from .expsum import (
     pair_count,
     quadruple_count,
 )
-from .reports import csv_text, fraction_str, json_report, table_text
+from .reports import csv_report, csv_text, flatten, fraction_str, json_report, table_text
 from .sievefn import MERTENS_Z_BUDGET, build_sieve_table, mertens_product
 
 OUTPUT_DIR_ENV = "NEARSQ_OUTPUT_DIR"
@@ -146,7 +144,7 @@ def _emit(text: str, path: str | None) -> None:
 # --format -> writer of a report dict
 FORMATS = {
     "json": json_report,
-    "csv": lambda report: csv_text(list(report), [list(report.values())]),
+    "csv": csv_report,
     "table": table_text,
 }
 
@@ -378,7 +376,8 @@ def _sweep_row(task: tuple) -> list:
     target, run, keys = task
     command, handler, _ = SWEEPS[target]
     report = handler(_resolve(RunConfig(command, run), COMMANDS[command][3]))
-    return [functools.reduce(operator.getitem, key.split("."), report) for key in keys]
+    flat = flatten(report)
+    return [flat[key] for key in keys]
 
 
 def _parallel_map(fn, args, threads: int) -> list:

@@ -23,8 +23,8 @@ D_MAX_BUDGET = 10**5  # largest d_max of sieve_decomposition: one exact remainde
 TILE = 128  # side of the square tiles of the pair pass when A = B
 CELLS = TILE * TILE  # products decided per tile of the pair pass
 WINDOW_ROWS = 64  # rows of A per tile of the window pass, which holds at most CELLS windows
-WINDOW_FACTOR = 1.0  # the window pass runs when WINDOW_FACTOR * windows < decided pairs
 SCREEN = 1024  # screened endpoints per window pass, over 4: tau = SCREEN / windows
+DRAW_CHUNK = 2**20  # uniforms drawn at a time for a Bernoulli subset
 
 
 @dataclass(frozen=True)
@@ -67,17 +67,19 @@ def generate_subset(
     """
     if base_N < 2:
         raise InvalidArgumentError("base_N must be at least 2")
-    window = np.arange(base_N + 1, 2 * base_N + 1, dtype=np.int64)
-    if kind == "full":
-        return IntervalSubset(base_N, window)
     if kind == "bernoulli":
         if density is None or not 0.0 < density <= 1.0:
             raise InvalidArgumentError("bernoulli density must lie in (0, 1]")
         if seed < 0:
             raise InvalidArgumentError("seed must be nonnegative")
         rng = np.random.default_rng(seed)
-        mask = rng.random(len(window)) < density
-        return IntervalSubset(base_N, window[mask])
+        # chunks of one PCG64 stream draw the same floats as one long draw
+        kept = [j0 + np.flatnonzero(rng.random(min(DRAW_CHUNK, base_N - j0)) < density)
+                for j0 in range(0, base_N, DRAW_CHUNK)]
+        return IntervalSubset(base_N, base_N + 1 + np.concatenate(kept))
+    window = np.arange(base_N + 1, 2 * base_N + 1, dtype=np.int64)
+    if kind == "full":
+        return IntervalSubset(base_N, window)
     if kind == "adversarial-spread":
         roots = np.sqrt(window.astype(np.float64))
         l = np.rint(roots).astype(np.int64)
@@ -277,7 +279,7 @@ class _WindowPass:
         np.cumsum(self.C, out=self.C)
         self.x, self.y, self.r = (np.empty(cells) for _ in range(3))
         self.ix, self.iy = (np.empty(cells, dtype=np.intp) for _ in range(2))
-        self.slow = np.empty(cells + 7, dtype=bool)
+        self.slow = np.empty(cells, dtype=bool)
         self.member = np.zeros(2 * N + 2, dtype=bool)  # b in B, for b in [0, 2N + 1]
         self.member[B] = True
         self.stride = 2 * N + 1  # a candidate pair (a, b) is kept as a * stride + b
@@ -308,7 +310,7 @@ class _WindowPass:
         rows, cols = len(a_rows), l1 - l0
         c = rows * cols
         x, y, r, ix, iy = (v[:c] for v in (self.x, self.y, self.r, self.ix, self.iy))
-        slow = self.slow
+        slow = self.slow[:c]
         shape = (rows, cols)
         e0, e1 = l0 - self.off, l1 - self.off
         np.multiply.outer(inv_a, self.lo_edge[e0:e1], out=x.reshape(shape))
@@ -322,12 +324,8 @@ class _WindowPass:
             np.abs(v, out=v)
             np.copyto(iv, r, casting="unsafe")
         np.maximum(x, y, out=r)
-        np.greater_equal(r, self.thr, out=slow[:c])
-        # the slow windows are few: find the nonzero 8-byte words of the mask first
-        slow[c : c + 7] = False
-        words = np.flatnonzero(slow[: -(-c // 8) * 8].view(np.uint64))
-        ks = (8 * words[:, None] + np.arange(8)).ravel()
-        ks = ks[slow[ks]]
+        np.greater_equal(r, self.thr, out=slow)
+        ks = np.flatnonzero(slow)
         if len(ks):
             self._screen(ks, a_rows, l0, cols)
         # count only b > a when A = B; at roots l > a both endpoints exceed a
@@ -348,27 +346,31 @@ class _WindowPass:
 
 
 def _window_count(A: np.ndarray, B: np.ndarray, symmetric: bool, delta: Fraction, N: int,
-                  counts: np.ndarray, off: int, cells: float) -> tuple[float, int] | None:
-    """Count A x B into ``counts`` by windows; the pair pass's margin and
-    fallbacks, or None when the screen cannot certify them (see ``_WindowPass``)."""
+                  off: int, pairs: float) -> tuple[np.ndarray, float, int] | None:
+    """The count of A x B by windows, with the pair pass's margin and fallbacks.  None,
+    before anything is allocated, when its row blocks walk at least ``pairs`` windows (the
+    pairs of the pair pass), and None when the screen cannot certify (see ``_WindowPass``)."""
     if len(A) == 0 or len(B) == 0:
         return None
     rows = WINDOW_ROWS
     cols = max(1, CELLS // rows)
-    wp = _WindowPass(delta, N, B, symmetric, counts, off, min(len(A), rows) * cols,
-                     min(SCREEN / cells, 0.125))
-    a_f = A.astype(np.float64)
-    inv_a = 1.0 / a_f
-    b_hi = int(B[-1])
+    blocks = []
     for i0 in range(0, len(A), rows):
         a_first, a_last = int(A[i0]), int(A[min(i0 + rows, len(A)) - 1])
         # every root within 1 of sqrt(ab) for some b of the rows' range
-        l_lo = math.isqrt(a_first * (a_first if symmetric else int(B[0]))) - 1
-        l_hi = math.isqrt(a_last * b_hi) + 2
-        cuts = -(-(l_hi + 1 - l_lo) // cols)  # the fewest cuts of at most cols roots, evened
-        edges = np.linspace(l_lo, l_hi + 1, cuts + 1).round().astype(int)
-        for l0, l1 in zip(edges[:-1], edges[1:]):
-            wp.tile(a_f[i0 : i0 + rows], inv_a[i0 : i0 + rows], int(l0), int(l1))
+        blocks.append((i0, math.isqrt(a_first * (a_first if symmetric else int(B[0]))) - 1,
+                       math.isqrt(a_last * int(B[-1])) + 2))
+    windows = sum(len(A[i0 : i0 + rows]) * (l_hi + 1 - l_lo) for i0, l_lo, l_hi in blocks)
+    if windows >= pairs:
+        return None
+    counts = np.zeros(N + 4, dtype=np.int64)
+    wp = _WindowPass(delta, N, B, symmetric, counts, off, min(len(A), rows) * cols,
+                     min(SCREEN / windows, 0.125))
+    a_f = A.astype(np.float64)
+    inv_a = 1.0 / a_f
+    for i0, l_lo, l_hi in blocks:
+        for l0 in range(l_lo, l_hi + 1, cols):
+            wp.tile(a_f[i0 : i0 + rows], inv_a[i0 : i0 + rows], l0, min(l0 + cols, l_hi + 1))
     if symmetric:
         counts[A - off] += 1  # the diagonal: sqrt(a * a) = a
     keys = np.sort(np.concatenate([np.empty(0, dtype=np.int64)] + wp.candidates))
@@ -387,13 +389,14 @@ def _window_count(A: np.ndarray, B: np.ndarray, symmetric: bool, delta: Fraction
             screen.decide(c, w)
     cert = (wp.tau - wp.margin) / 4 - 2 * screen.margin
     if screen.min_margin < cert and screen.margin < cert:
-        return screen.min_margin, screen.fallbacks
+        return counts, screen.min_margin, screen.fallbacks
     return None
 
 
 def _pair_count(a_f: np.ndarray, b_f: np.ndarray, symmetric: bool, delta: Fraction, N: int,
-                counts: np.ndarray, off: int) -> tuple[float, int]:
-    """Count A x B into ``counts`` pair by pair; its minimum margin and fallbacks."""
+                off: int) -> tuple[np.ndarray, float, int]:
+    """The count of A x B pair by pair, its minimum margin and fallbacks."""
+    counts = np.zeros(N + 4, dtype=np.int64)
     if symmetric:
         rows = cols = TILE
     else:
@@ -407,7 +410,7 @@ def _pair_count(a_f: np.ndarray, b_f: np.ndarray, symmetric: bool, delta: Fracti
             c = len(a_rows) * len(b_cols)
             np.multiply.outer(a_rows, b_cols, out=pp.prod[:c].reshape(len(a_rows), len(b_cols)))
             pp.decide(c, 2 if symmetric and j0 > i0 else 1)
-    return pp.min_margin, pp.fallbacks
+    return counts, pp.min_margin, pp.fallbacks
 
 
 def count_near_squares(
@@ -429,18 +432,17 @@ def count_near_squares(
 
     - The window pass (``_WindowPass``, where its margin is proven) counts,
       for each a of A and each root l, the b of B inside the window of l at
-      once from a prefix count of B: about 0.22 N |A| windows when A = B and
-      0.5 N |A| otherwise, whatever |B| is.  It runs when delta > 1/2 and
-      ``WINDOW_FACTOR`` times its windows are fewer than the pairs the pair
-      pass decides, |A|(|A| + 1)/2 when A = B and |A||B| otherwise.  At
-      N = 5000, delta = N^-0.05 and Bernoulli densities 0.2-1, a window cost
-      0.55-0.95 times a decided pair when A = B, and 0.57-0.84 times when
-      A != B, so the factor is 1: the window pass runs from |A| = 0.44 N
-      when A = B and from |B| = 0.5 N when A != B, a little past the
-      measured crossovers near 0.35 N and 0.3 N.  One-sided windows
-      (delta <= 1/2) gained nothing when measured, so they stay on the pair
-      pass.  When its screen cannot certify the pair pass's margin and
-      fallbacks, the count is made again by the pair pass.
+      once from a prefix count of B.  It walks blocks of ``WINDOW_ROWS``
+      rows against every root within 1 of sqrt(ab) for some b of the
+      block: about 0.23 N windows per row when A = B and 0.51 N otherwise,
+      whatever |B| is.  It runs when delta > 1/2 and these windows, summed
+      exactly before anything is allocated, are fewer than the pairs the
+      pair pass decides, |A|(|A| + 1)/2 when A = B and |A||B| otherwise: at
+      N = 5000, from Bernoulli density 0.5 when A = B and 0.55 when A != B.
+      There a window cost 0.55-0.95 times a decided pair (delta = N^-0.05).
+      One-sided windows (delta <= 1/2) gained nothing when measured, so
+      they stay on the pair pass.  When its screen cannot certify the pair
+      pass's margin and fallbacks, the pair pass counts again.
     - The pair pass (``_PairPass``) decides the pairs in tiles of the product
       matrix, each of at most ``CELLS`` products.  For distinct sets a tile
       is ``CELLS // cols`` rows of A against ``cols = min(|B|, CELLS)``
@@ -467,21 +469,16 @@ def count_near_squares(
         raise BudgetError("products exceed the exact float-filter range")
     # every root of a product in (N^2, 4N^2], and its far neighbour, lies in
     # N - 1 .. 2N + 2
-    counts, off = np.zeros(N + 4, dtype=np.int64), N - 1
+    off = N - 1
     symmetric = np.array_equal(A.elements, B.elements)
-    if symmetric:
-        cells, pairs = 0.22 * N * len(A), len(A) * (len(A) + 1) / 2
-    else:
-        cells, pairs = 0.5 * N * len(A), n_pairs
-    got = None
-    if delta > Fraction(1, 2) and WINDOW_FACTOR * cells < pairs:
-        got = _window_count(A.elements, B.elements, symmetric, delta, N, counts, off, cells)
+    pairs = len(A) * (len(A) + 1) // 2 if symmetric else n_pairs
+    got = (_window_count(A.elements, B.elements, symmetric, delta, N, off, pairs)
+           if delta > Fraction(1, 2) else None)
     if got is None:
-        counts[:] = 0  # an uncertified window pass leaves its counts behind
         # below 2**53 every product of two elements is exact in float64
         got = _pair_count(A.elements.astype(np.float64), B.elements.astype(np.float64),
-                          symmetric, delta, N, counts, off)
-    margin, fallbacks = got
+                          symmetric, delta, N, off)
+    counts, margin, fallbacks = got
     return NearSquareCount(
         delta=delta,
         base_N=N,
@@ -524,6 +521,8 @@ def sieve_decomposition(
     nsc: NearSquareCount, A_size: int, B_size: int, d_max: int
 ) -> SieveDecomposition:
     """Bucket the rounded-value multiset by divisibility for every d <= d_max."""
+    if (A_size, B_size) != (nsc.A_size, nsc.B_size):
+        raise InvalidArgumentError("the count was not made on sets of these sizes")
     check_d_max(d_max)
     X = 2 * nsc.delta * A_size * B_size
     counts: dict[int, int] = {}

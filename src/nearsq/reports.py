@@ -1,4 +1,4 @@
-"""Deterministic report serialization: 12-significant-digit JSON and CSV."""
+"""Deterministic report serialization: 12-significant-digit JSON, CSV and tables."""
 
 from __future__ import annotations
 
@@ -34,6 +34,15 @@ def json_report(obj: dict) -> str:
     return json.dumps(_normalize(obj), indent=2) + "\n"
 
 
+def flatten(obj, key: str = "") -> dict:
+    """Nested dicts and lists as one level of dotted keys, such as ``config.N`` or
+    ``values.0.u``; an empty dict or list stays a value."""
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return {key: obj}
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    return {k: v for i, x in items for k, v in flatten(x, f"{key}.{i}" if key else str(i)).items()}
+
+
 def csv_text(header: list[str], rows: list[list]) -> str:
     """CSV with a header row, comma separators, and LF line endings."""
     buf = io.StringIO()
@@ -44,9 +53,15 @@ def csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def csv_report(obj: dict) -> str:
+    """A report as one CSV row, one column per dotted key, floats at 12 significant digits."""
+    flat = flatten(_normalize(obj))
+    return csv_text(list(flat), [list(flat.values())])
+
+
 def table_text(obj: dict) -> str:
-    """Aligned key/value listing for terminal viewing."""
-    flat = _normalize(obj)
+    """Aligned listing of a report's dotted keys and values, for terminal viewing."""
+    flat = flatten(_normalize(obj))
     width = max((len(k) for k in flat), default=0)
     lines = [f"{k.ljust(width)}  {json.dumps(v) if isinstance(v, (dict, list)) else v}"
              for k, v in flat.items()]

@@ -164,6 +164,15 @@ class TestSieveFn:
         assert doc["u_max"] == 7.296875
         assert [v["u"] for v in doc["values"]] == [2.0, 3.0, 4.0, 5.0, 6.0, 7.296875]
 
+    def test_csv_and_table_flatten_the_values_to_dotted_keys(self, capsys):
+        argv = ["sieve-fn", "--u-max", "7.3", "--step", "0.0078125", "--tol", "1e-3"]
+        _, out, _ = run_cli(capsys, argv + ["--format", "csv"])
+        header, row = out.splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert (cells["values.5.u"], cells["csv_dump"]) == ("7.296875", "")
+        _, out, _ = run_cli(capsys, argv + ["--format", "table"])
+        assert "values.5.u  7.296875\n" in out
+
 
 class TestMertens:
     def test_exact_string_up_to_256_denominator_bits(self, capsys):

@@ -100,6 +100,14 @@ class TestGenerateSubset:
             a.elements, generate_subset(5000, "bernoulli", density=0.5, seed=8).elements
         )
 
+    def test_bernoulli_chunks_give_the_one_shot_draw(self, monkeypatch):
+        # chunks of 7 draws, a last chunk of 1, 6 or 7, against one draw of N
+        monkeypatch.setattr(experiments, "DRAW_CHUNK", 7)
+        for N in (2, 50, 1000, 1001, 1006):
+            chunked = generate_subset(N, "bernoulli", density=0.4, seed=N)
+            one_shot = np.random.default_rng(N).random(N) < 0.4
+            assert np.array_equal(chunked.elements, N + 1 + np.flatnonzero(one_shot))
+
     def test_bernoulli_rejects_negative_seed(self):
         with pytest.raises(InvalidArgumentError):
             generate_subset(100, "bernoulli", density=0.5, seed=-1)
@@ -348,10 +356,15 @@ class TestCountNearSquares:
 
 def count_both_ways(monkeypatch, A, B, delta, window_tiles=None):
     """The count of A x B by the pair pass and by the window pass, and whether
-    the window pass fell back on the pair pass (its screen did not certify)."""
-    monkeypatch.setattr(experiments, "WINDOW_FACTOR", math.inf)
+    the window pass fell back on the pair pass (its screen did not certify).
+
+    ``_window_count`` is wrapped: to return None, which leaves the count to
+    the pair pass, and to take every window count as fewer than the pairs."""
+    window_count = experiments._window_count
+    monkeypatch.setattr(experiments, "_window_count", lambda *args: None)
     pairs = count_near_squares(A, B, delta)
-    monkeypatch.setattr(experiments, "WINDOW_FACTOR", 0.0)
+    monkeypatch.setattr(experiments, "_window_count",
+                        lambda *args: window_count(*args[:-1], math.inf))
     if window_tiles:
         monkeypatch.setattr(experiments, "WINDOW_ROWS", window_tiles[0])
         monkeypatch.setattr(experiments, "CELLS", window_tiles[1])
@@ -433,7 +446,13 @@ class TestWindowPass:
         count_near_squares(full, full, float(N) ** -0.05)
         count_near_squares(full, generate_subset(N, "bernoulli", density=0.9, seed=2), Fraction(2, 3))
         assert not calls
-        # one-sided windows and sparse sets stay on the pair pass
+
+        # one-sided windows and sparse sets stay on the pair pass, and the
+        # rule sends the sparse sets there before the window pass allocates
+        def no_window_pass(*args):
+            raise AssertionError("the window pass was built")
+
+        monkeypatch.setattr(experiments, "_WindowPass", no_window_pass)
         count_near_squares(full, full, Fraction(1, 2))
         count_near_squares(sparse, sparse, Fraction(2, 3))
         count_near_squares(full, sparse, Fraction(2, 3))
@@ -464,6 +483,15 @@ class TestSieveDecomposition:
         assert all(c == 0 for c in dec.counts.values())
         for d in range(1, 6):
             assert dec.remainders[d] == -dec.X / d
+
+    def test_rejects_sizes_of_other_sets(self):
+        A = generate_subset(100, "full")
+        B = generate_subset(100, "explicit", elements=[101, 150])
+        nsc = count_near_squares(A, B, Fraction(1, 20))
+        assert sieve_decomposition(nsc, 100, 2, 5).counts[1] == nsc.H_count
+        for sizes in ((2, 100), (100, 100), (99, 2), (100, 3)):
+            with pytest.raises(InvalidArgumentError):
+                sieve_decomposition(nsc, *sizes, 5)
 
     def test_divisibility_counts_against_direct_scan(self):
         A = generate_subset(400, "full")

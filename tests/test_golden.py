@@ -18,7 +18,8 @@ from nearsq.cli import main
 GOLDEN = Path(__file__).with_name("golden_experiment.json")
 
 # full and Bernoulli(0.9) sets at two sizes, at windows on both sides of 1/2,
-# and two sweeps whose rows run the experiment handler
+# two sweeps whose rows run the experiment handler, and the flattened csv and
+# table formats
 ARGVS = [
     ["experiment", "--N", str(N), *sets, *window]
     for N in (300, 2000)
@@ -28,6 +29,8 @@ ARGVS = [
     ["sweep", "--target", "remainder", "--N-list", "100,500"],
     ["sweep", "--target", "residual", "--N-list", "300,1000", "--seeds", "0:2",
      "--density", "0.8", "--delta", "2/3"],
+    ["experiment", "--N", "300", "--format", "csv"],
+    ["experiment", "--N", "300", "--density", "0.9", "--delta", "2/3", "--format", "table"],
 ]
 
 
