@@ -77,20 +77,20 @@ def generate_subset(
         kept = [j0 + np.flatnonzero(rng.random(min(DRAW_CHUNK, base_N - j0)) < density)
                 for j0 in range(0, base_N, DRAW_CHUNK)]
         return IntervalSubset(base_N, base_N + 1 + np.concatenate(kept))
-    window = np.arange(base_N + 1, 2 * base_N + 1, dtype=np.int64)
-    if kind == "full":
-        return IntervalSubset(base_N, window)
-    if kind == "adversarial-spread":
-        roots = np.sqrt(window.astype(np.float64))
-        l = np.rint(roots).astype(np.int64)
-        keep = (16 * window <= (4 * l - 1) ** 2) | (16 * window >= (4 * l + 1) ** 2)
-        return IntervalSubset(base_N, window[keep])
     if kind == "explicit":
         if elements is None:
             raise InvalidArgumentError("explicit subsets need an element list")
         els = np.unique(np.asarray(sorted(elements), dtype=np.int64))
         return IntervalSubset(base_N, els)
-    raise InvalidArgumentError(f"unknown subset kind {kind!r}")
+    if kind not in ("full", "adversarial-spread"):
+        raise InvalidArgumentError(f"unknown subset kind {kind!r}")
+    window = np.arange(base_N + 1, 2 * base_N + 1, dtype=np.int64)
+    if kind == "full":
+        return IntervalSubset(base_N, window)
+    roots = np.sqrt(window.astype(np.float64))
+    l = np.rint(roots).astype(np.int64)
+    keep = (16 * window <= (4 * l - 1) ** 2) | (16 * window >= (4 * l + 1) ** 2)
+    return IntervalSubset(base_N, window[keep])
 
 
 @dataclass

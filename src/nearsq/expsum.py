@@ -12,6 +12,9 @@ measured/bound ratios for regression.
 from __future__ import annotations
 
 import math
+import os
+import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,6 +159,35 @@ def pair_count(B: IntervalSubset, X: float) -> BoundCheckRecord:
     )
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _tile_sums(a_rows, b_arr, hs, d, t, x, v, out) -> None:
+    """Row sums of cos and sin of 2 pi frac(h sqrt(ab)/d) for one tile of rows of A.
+
+    ``t``, ``x`` and ``v`` are buffers of the tile's shape; ``out[i, 0]`` and
+    ``out[i, 1]`` receive the cos and sin sums of the rows at the i-th h.
+    """
+    np.multiply.outer(a_rows, b_arr, out=t)
+    np.sqrt(t, out=t)
+    for i, h in enumerate(hs):
+        np.multiply(t, h, out=x)
+        if d != 1:  # x / 1 == x
+            np.divide(x, d, out=x)
+        np.floor(x, out=v)
+        np.subtract(x, v, out=x)  # the phase mod 1, exactly: x >= 0
+        np.multiply(x, 2 * math.pi, out=x)
+        np.cos(x, out=v)
+        np.add.reduce(v, axis=1, out=out[i, 0])
+        np.sin(x, out=v)
+        np.add.reduce(v, axis=1, out=out[i, 1])
+
+
 def bilinear_sum_check(
     H0: int,
     A: IntervalSubset,
@@ -178,6 +210,18 @@ def bilinear_sum_check(
     pairwise tree does not depend on the tile; cutting a row would change it.
     The row sums of each h then go through ``math.fsum``, which is exactly
     rounded, so ``measured_value`` does not depend on the tile size either.
+
+    The tiles are dealt round-robin to one worker per CPU of the affinity
+    set, at most one per tile: worker k takes tiles k, k + w, k + 2w, ...
+    The calling thread is worker 0, and the others are threads, which run
+    at once because numpy's ufuncs release the GIL.  Each worker fills its
+    own buffers, allocated before any thread starts, and writes its rows'
+    sums into their own slots of one array in row order.  Every row is
+    summed by the same ufuncs whichever worker takes it, so the bits do not
+    depend on the number of workers.  Every thread is joined before the
+    call returns or raises, and the first exception of any worker is raised
+    here; the other workers stop at their next tile.  The caller waits for
+    the others without blocking, so that its CPU does not go idle.
     """
     if H0 < 1 or d < 1:
         raise InvalidArgumentError("H0 and d must be at least 1")
@@ -195,18 +239,49 @@ def bilinear_sum_check(
     a_arr = A.elements.astype(np.float64)
     b_arr = B.elements.astype(np.float64)
     hs = range(H0 + 1, 2 * H0 + 1)
-    res, ims = [[] for _ in hs], [[] for _ in hs]
     rows = max(1, CELLS // len(b_arr))  # whole rows only: a cut row sums in another tree
-    for i0 in range(0, len(a_arr), rows):
-        t = np.sqrt(np.multiply.outer(a_arr[i0 : i0 + rows], b_arr))
-        for i, h in enumerate(hs):
-            x = h * t / d
-            x -= np.floor(x)  # the phase mod 1, exactly: x >= 0
-            x *= 2 * math.pi
-            res[i].extend(np.cos(x).sum(axis=1).tolist())
-            ims[i].extend(np.sin(x).sum(axis=1).tolist())
+    starts = range(0, len(a_arr), rows)
+    workers = min(_cpu_count(), len(starts))
+    sums = np.empty((len(hs), 2, len(a_arr)))  # cos and sin row sums of each h, in row order
+    shape = (min(rows, len(a_arr)), len(b_arr))
+    shares = [(starts[k::workers], *(np.empty(shape) for _ in range(3))) for k in range(workers)]
+    failed = []  # the first exception of any worker
+
+    def work(tiles, t, x, v):
+        try:
+            for i0 in tiles:
+                if failed:
+                    return
+                n = min(rows, len(a_arr) - i0)
+                _tile_sums(a_arr[i0 : i0 + n], b_arr, hs, d, t[:n], x[:n], v[:n],
+                           sums[:, :, i0 : i0 + n])
+        except BaseException as exc:
+            failed.append(exc)
+
+    started = []
+    try:
+        for share in shares[1:]:
+            thread = threading.Thread(target=work, args=share)
+            thread.start()
+            started.append(thread)
+        work(*shares[0])
+    except BaseException as exc:  # a thread that would not start: stop the others early
+        failed.append(exc)
+    finally:
+        # Poll, releasing the GIL, instead of blocking in join: a blocked
+        # caller leaves its CPU idle, and the host of a virtual machine may
+        # then resume it on a busier core.  On a 2-CPU VM with a busy host,
+        # a blocking join made the single-threaded work after each call (the
+        # set-ups of perfbench's expsum-bounds) 15-43% slower.  The shares
+        # differ by at most one tile, so the poll is short.
+        for thread in started:
+            while thread.is_alive():
+                time.sleep(0)
+            thread.join()
+    if failed:
+        raise failed[0]
     # fsum is exactly rounded, so the block sums do not depend on the loop order
-    block_sums = [complex(math.fsum(r), math.fsum(m)) for r, m in zip(res, ims)]
+    block_sums = [complex(math.fsum(r.tolist()), math.fsum(m.tolist())) for r, m in sums]
 
     if weights == "unit":
         measured = abs(complex(math.fsum(s.real for s in block_sums),

@@ -320,6 +320,16 @@ class TestSweep:
         _, parallel, _ = run_cli(capsys, argv + ["--threads", "3"])
         assert serial == parallel
 
+    def test_bilinear_rows_in_forked_workers_give_the_same_bytes(self, capsys):
+        # each forked pool worker runs bilinear_sum_check, which deals its row
+        # tiles to threads of its own (6 and 63 tiles at N = 300 and 1000)
+        argv = ["sweep", "--target", "bilinear", "--sizes", "64,300,1000", "--H0", "2"]
+        _, serial, _ = run_cli(capsys, argv + ["--threads", "1"])
+        code, pooled, _ = run_cli(capsys, argv + ["--threads", "2"])
+        assert code == 0
+        assert pooled == serial
+        assert len(serial.splitlines()) == 4
+
     def test_pool_is_no_larger_than_the_row_count(self, capsys, monkeypatch):
         # a fake pool that records its size and maps in process: no process starts
         sizes = []

@@ -128,6 +128,20 @@ class TestGenerateSubset:
             assert abs(math.sqrt(int(n)) - l) >= 0.25 - 1e-12
         assert len(s) >= 0.4 * 2000
 
+    def test_explicit_builds_no_window(self):
+        # 500 elements at N = 10^6: the (N, 2N] arange alone would take 8 MB
+        N = 10**6
+        elements = np.random.default_rng(5).choice(np.arange(N + 1, 2 * N + 1), 500, replace=False)
+        generate_subset(N, "explicit", elements=[N + 1])  # np.unique imports numpy.ma once
+        tracemalloc.start()
+        try:
+            s = generate_subset(N, "explicit", elements=elements.tolist())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(s.elements, np.sort(elements))
+        assert peak < 100_000  # bytes: the elements a few times over, not 8 MB
+
     def test_explicit_validation(self):
         with pytest.raises(InvalidArgumentError):
             generate_subset(100, "explicit", elements=[99])

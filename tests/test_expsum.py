@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -36,6 +39,26 @@ def per_term_bilinear(H0, A, B, d, weights):
     if weights == "unit":
         return abs(complex(math.fsum(s.real for s in sums), math.fsum(s.imag for s in sums)))
     return math.fsum(abs(s) for s in sums)
+
+
+SHAPES = ["ragged", "long-rows", "single-a", "same-sets"]
+
+
+def tile_shape(shape):
+    """The subsets A and B of one row-tile shape of bilinear_sum_check."""
+    if shape == "ragged":  # |B| = 3000: tiles of 5 rows and a last one of 2
+        B = generate_subset(3000, "full")
+        A = generate_subset(3000, "explicit", elements=B.elements[::431])
+        assert len(A) % (CELLS // len(B)) == 2
+    elif shape == "long-rows":  # |B| > CELLS: every tile is one row
+        B = generate_subset(CELLS + 600, "full")
+        A = generate_subset(CELLS + 600, "explicit", elements=B.elements[[0, 777, -1]])
+    elif shape == "single-a":
+        B = generate_subset(5000, "bernoulli", density=0.6, seed=4)
+        A = generate_subset(5000, "explicit", elements=[7777])
+    else:  # |A| = |B| = 173: a tile of 94 rows and a last one of 79
+        A = B = generate_subset(4000, "bernoulli", density=0.05, seed=8)
+    return A, B
 
 
 def direct_quadruples(M, N, theta, alpha_exp, beta_exp):
@@ -285,20 +308,9 @@ class TestBilinearSum:
         assert bilinear_sum_check(3, A, B, d=d, weights=weights).measured_value == expect
 
     @pytest.mark.parametrize("d", [1, 3])
-    @pytest.mark.parametrize("shape", ["ragged", "long-rows", "single-a", "same-sets"])
+    @pytest.mark.parametrize("shape", SHAPES)
     def test_row_tiles_match_per_term_oracle(self, shape, d):
-        if shape == "ragged":  # |B| = 3000: tiles of 5 rows and a last one of 2
-            B = generate_subset(3000, "full")
-            A = generate_subset(3000, "explicit", elements=B.elements[::431])
-            assert len(A) % (CELLS // len(B)) == 2
-        elif shape == "long-rows":  # |B| > CELLS: every tile is one row
-            B = generate_subset(CELLS + 600, "full")
-            A = generate_subset(CELLS + 600, "explicit", elements=B.elements[[0, 777, -1]])
-        elif shape == "single-a":
-            B = generate_subset(5000, "bernoulli", density=0.6, seed=4)
-            A = generate_subset(5000, "explicit", elements=[7777])
-        else:  # |A| = |B| = 173: a tile of 94 rows and a last one of 79
-            A = B = generate_subset(4000, "bernoulli", density=0.05, seed=8)
+        A, B = tile_shape(shape)
         weights = "unit" if d == 1 else "adversarial"
         rec = bilinear_sum_check(2, A, B, d=d, weights=weights)
         assert rec.measured_value == per_term_bilinear(2, A, B, d, weights)
@@ -331,3 +343,118 @@ class TestBilinearSum:
         a = bilinear_sum_check(2, A, A)
         b = bilinear_sum_check(2, A, A)
         assert a.measured_value == b.measured_value
+
+
+class TestBilinearWorkers:
+    """Row tiles dealt to one worker per CPU of the affinity set."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def set_cpus(n):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        return set_cpus
+
+    @pytest.fixture
+    def thread_starts(self, monkeypatch):
+        starts = []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            starts.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        return starts
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    def test_any_worker_count_gives_the_oracle_bits(self, cpus, thread_starts, n_cpus, shape, d):
+        # 2, 3, 1 and 2 tiles: single-a and same-sets have fewer tiles than
+        # 3 workers, and a lone tile starts no thread at all
+        A, B = tile_shape(shape)
+        tiles = -(-len(A) // max(1, CELLS // len(B)))
+        cpus(n_cpus)
+        weights = "unit" if d == 1 else "adversarial"
+        before = threading.active_count()
+        rec = bilinear_sum_check(2, A, B, d=d, weights=weights)
+        assert threading.active_count() == before
+        assert len(thread_starts) == min(n_cpus, tiles) - 1
+        assert rec.measured_value == per_term_bilinear(2, A, B, d, weights)
+
+    def test_more_workers_than_cores_at_a_short_switch_interval(self, cpus):
+        # six tiles of rows to six workers, switching every microsecond: a row
+        # sum lost or written to another row's slot would change the bits
+        A = generate_subset(300, "full")
+        cpus(8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rec = bilinear_sum_check(2, A, A, weights="adversarial")
+        finally:
+            sys.setswitchinterval(interval)
+        assert rec.measured_value == per_term_bilinear(2, A, A, 1, "adversarial")
+
+    @pytest.mark.parametrize("where", ["thread", "caller"])
+    def test_a_worker_exception_reaches_the_caller_after_every_join(
+            self, cpus, thread_starts, monkeypatch, where):
+        real = expsum._tile_sums
+
+        def tile_sums(*args):
+            if (threading.current_thread() is threading.main_thread()) == (where == "caller"):
+                raise RuntimeError(f"share of the {where}")
+            real(*args)
+
+        A, B = tile_shape("long-rows")  # three tiles of one row
+        cpus(3)
+        monkeypatch.setattr(expsum, "_tile_sums", tile_sums)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"share of the {where}"):
+            bilinear_sum_check(2, A, B)
+        assert len(thread_starts) == 2
+        assert not any(t.is_alive() for t in thread_starts)
+        assert threading.active_count() == before
+
+    def test_the_other_workers_stop_at_their_next_tile(self, cpus, thread_starts, monkeypatch):
+        # A = full set at N = 300: six tiles, three to the caller.  The thread
+        # raises on its first tile once the caller is inside its own first
+        # tile, which waits for the thread to end: the caller then sees the
+        # failure before its second tile.
+        real = expsum._tile_sums
+        caller_tiles, caller_in_tile = [], threading.Event()
+
+        def tile_sums(*args):
+            if threading.current_thread() is not threading.main_thread():
+                caller_in_tile.wait(timeout=10)
+                raise RuntimeError("share of the thread")
+            caller_in_tile.set()
+            thread_starts[0].join(timeout=10)
+            assert not thread_starts[0].is_alive()
+            caller_tiles.append(args[0][0])
+            real(*args)
+
+        A = generate_subset(300, "full")
+        cpus(2)
+        monkeypatch.setattr(expsum, "_tile_sums", tile_sums)
+        with pytest.raises(RuntimeError, match="share of the thread"):
+            bilinear_sum_check(2, A, A)
+        assert caller_tiles == [A.elements[0]]
+
+    def test_a_thread_that_will_not_start_stops_the_others(self, cpus, monkeypatch):
+        real_start = threading.Thread.start
+        started = []
+
+        def start(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            real_start(thread)
+
+        A, B = tile_shape("long-rows")
+        cpus(3)
+        monkeypatch.setattr(threading.Thread, "start", start)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            bilinear_sum_check(2, A, B)
+        assert not started[0].is_alive()
+        assert threading.active_count() == before

@@ -1,4 +1,4 @@
-"""Golden `experiment` reports: each argv in ``golden_experiment.json`` replayed in process.
+"""Golden CLI reports: each argv in ``golden_experiment.json`` replayed in process.
 
 The file maps each argv (joined by spaces) to the stdout and exit code it
 gave when it was recorded.  A change that alters report bytes on purpose
@@ -18,8 +18,10 @@ from nearsq.cli import main
 GOLDEN = Path(__file__).with_name("golden_experiment.json")
 
 # full and Bernoulli(0.9) sets at two sizes, at windows on both sides of 1/2,
-# two sweeps whose rows run the experiment handler, and the flattened csv and
-# table formats
+# two sweeps whose rows run the experiment handler, the flattened csv and
+# table formats, and the expsum checks: bilinear sums of six row tiles (unit,
+# and adversarial on Bernoulli sets with d = 3), one quadruple and one
+# root-pair count, and a bilinear sweep
 ARGVS = [
     ["experiment", "--N", str(N), *sets, *window]
     for N in (300, 2000)
@@ -31,6 +33,14 @@ ARGVS = [
      "--density", "0.8", "--delta", "2/3"],
     ["experiment", "--N", "300", "--format", "csv"],
     ["experiment", "--N", "300", "--density", "0.9", "--delta", "2/3", "--format", "table"],
+    ["expsum-check", "--check", "bilinear", "--N", "300", "--H0", "4"],
+    ["expsum-check", "--check", "bilinear", "--N", "300", "--H0", "4", "--kind", "bernoulli",
+     "--density", "0.7", "--d", "3", "--weights", "adversarial"],
+    ["expsum-check", "--check", "quadruples", "--M", "12", "--N", "9", "--theta", "0.001",
+     "--alpha", "0.37", "--beta", "1.3"],
+    ["expsum-check", "--check", "pairs", "--N", "1000", "--X", "10", "--kind", "bernoulli",
+     "--density", "0.5", "--seed", "3"],
+    ["sweep", "--target", "bilinear", "--sizes", "64,300", "--H0", "2"],
 ]
 
 
