@@ -21,7 +21,8 @@ GOLDEN = Path(__file__).with_name("golden_experiment.json")
 # two sweeps whose rows run the experiment handler, the flattened csv and
 # table formats, and the expsum checks: bilinear sums of six row tiles (unit,
 # and adversarial on Bernoulli sets with d = 3), one quadruple and one
-# root-pair count, and a bilinear sweep
+# root-pair count, a bilinear sweep, and one-sided windows on dense sets at
+# 1/2, at 1/10 and just below 1/2 (where the screen's tau floor applies)
 ARGVS = [
     ["experiment", "--N", str(N), *sets, *window]
     for N in (300, 2000)
@@ -41,6 +42,10 @@ ARGVS = [
     ["expsum-check", "--check", "pairs", "--N", "1000", "--X", "10", "--kind", "bernoulli",
      "--density", "0.5", "--seed", "3"],
     ["sweep", "--target", "bilinear", "--sizes", "64,300", "--H0", "2"],
+    ["experiment", "--N", "2000", "--delta", "1/2"],
+    ["experiment", "--N", "2000", "--density", "0.9", "--delta", "1/2"],
+    ["experiment", "--N", "2000", "--delta", "0.4999999999999991"],
+    ["experiment", "--N", "2000", "--density", "0.9", "--delta", "1/10"],
 ]
 
 
