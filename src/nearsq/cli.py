@@ -17,7 +17,6 @@ computation of its own: each of its rows is one run of the command that
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -69,6 +68,7 @@ from .reports import csv_report, csv_text, flatten, fraction_str, json_report, t
 from .sievefn import MERTENS_Z_BUDGET, build_sieve_table, mertens_product
 
 OUTPUT_DIR_ENV = "NEARSQ_OUTPUT_DIR"
+SWEEP_ROW_BUDGET = 10**4  # rows of one sweep; the criterion grids have 121 and 99
 
 
 @dataclass
@@ -244,16 +244,24 @@ def _cmd_psi_approx(p: dict) -> dict:
     }
 
 
-def _cmd_expsum_check(p: dict) -> dict:
-    def subset(seed):
-        return generate_subset(p["N"], p["kind"], density=p["density"], seed=seed)
+def _subsets(p: dict, count: int = 2) -> tuple[str, list]:
+    """A run's subset kind and its sets A and B (seeds ``seed`` and ``seed + 1``).
+    ``--density`` means Bernoulli sets: the default kind with it, and no other kind's."""
+    density = p["density"]
+    kind = p["kind"] or ("full" if density is None else "bernoulli")
+    if density is not None and kind in ("full", "adversarial-spread"):
+        raise InvalidArgumentError(f"--density draws Bernoulli sets, not --kind {kind}")
+    return kind, [generate_subset(p["N"], kind, density=density, seed=p["seed"] + i)
+                  for i in range(count)]
 
+
+def _cmd_expsum_check(p: dict) -> dict:
     if p["check"] == "quadruples":
         rec = quadruple_count(p["M"], p["N"], p["theta"], p["alpha"], p["beta"])
     elif p["check"] == "pairs":
-        rec = pair_count(subset(p["seed"]), p["X"])
+        rec = pair_count(_subsets(p, 1)[1][0], p["X"])
     else:
-        A, B = subset(p["seed"]), subset(p["seed"] + 1)
+        A, B = _subsets(p)[1]
         rec = bilinear_sum_check(p["H0"], A, B, d=p["d"], weights=p["weights"])
     return {**asdict(rec), "ratio": rec.ratio}
 
@@ -264,10 +272,8 @@ def _experiment_count(p: dict) -> tuple[NearSquareCount, dict, dict]:
     Returns the count, the report keys before the root analysis and those
     after it, so that ``_cmd_experiment`` can put the analysis in between.
     """
-    N, density, k, d_max = p["N"], p["density"], p["k"], p["d_max"]
-    kind = p["kind"] or ("bernoulli" if density else "full")
-    A = generate_subset(N, kind, density=density, seed=p["seed"])
-    B = generate_subset(N, kind, density=density, seed=p["seed"] + 1)
+    N, k, d_max = p["N"], p["k"], p["d_max"]
+    kind, (A, B) = _subsets(p)
     delta = p["delta"]
     if delta is None and p["delta_exp"] is not None:
         if not p["delta_exp"] > 0:  # N^-x would be at least 1, or overflow
@@ -286,7 +292,7 @@ def _experiment_count(p: dict) -> tuple[NearSquareCount, dict, dict]:
         "config": {
             "N": N,
             "kind": kind,
-            "density": density,
+            "density": p["density"],
             "delta": fraction_str(nsc.delta),
             "delta_float": nsc.delta_float,
             "k": k,
@@ -343,9 +349,10 @@ def _cmd_sweep(p: dict) -> str:
             raise InvalidArgumentError("sweep delta grid needs a finite start, end and step")
         if step <= 0:
             raise InvalidArgumentError("sweep step must be positive")
-        grid = (start + j * step for j in itertools.count())
-        deltas = itertools.takewhile(lambda d: d <= end + 1e-15, grid)
-        runs = [{"k": p["k"], "delta": d} for d in deltas]
+        # the points rise with j, so the rows are a prefix; one point over the
+        # budget is enough to refuse, and stops a step lost to rounding
+        grid = (start + j * step for j in range(SWEEP_ROW_BUDGET + 1))
+        runs = [{"k": p["k"], "delta": d} for d in grid if d <= end + 1e-15]
     elif target == "residual":
         runs = [{"N": n, "seed": s, "density": p["density"], "delta": p["delta"]}
                 for n in p["N_list"] for s in p["seeds"]]
@@ -357,6 +364,8 @@ def _cmd_sweep(p: dict) -> str:
         runs = [{"check": "quadruples", "M": m, "N": m, "theta": p["theta"]} for m in p["sizes"]]
     else:
         runs = [{"check": "bilinear", "N": n, "H0": p["H0"], "d": p["d"]} for n in p["sizes"]]
+    if len(runs) > SWEEP_ROW_BUDGET:
+        raise BudgetError(f"sweep of more than {SWEEP_ROW_BUDGET} rows exceeds the row budget")
     columns = SWEEPS[target][2]
     checkpoint, done = p["checkpoint"], 0
     if checkpoint and os.path.exists(checkpoint):
@@ -409,7 +418,8 @@ SWEEPS = {
 }
 
 SEED = Param("--seed", _int, 0, help="deterministic RNG seed")
-DENSITY = Param("--density", float)
+DENSITY = Param("--density", float, help="Bernoulli subsets of this density")
+KIND = Param("--kind", help="subset kind (default: bernoulli with --density, else full)")
 OUTPUT = Param("--output", help="output file (default: stdout)")
 REPORT = (Param("--format", default="json", choices=tuple(FORMATS)), OUTPUT)
 
@@ -493,7 +503,7 @@ COMMANDS = {
             Param("--X", float, needed_by=("pairs",)),
             Param("--H0", _int, needed_by=("bilinear",)),
             Param("--d", _int, 1),
-            Param("--kind", default="full"),
+            KIND,
             DENSITY,
             Param("--weights", default="unit", choices=("unit", "adversarial")),
             SEED,
@@ -509,7 +519,7 @@ COMMANDS = {
         "sifts them, and reports the normalized residual of the main term.",
         (
             Param("--N", _int, REQUIRED),
-            Param("--kind", help="subset kind (default: bernoulli with --density, else full)"),
+            KIND,
             DENSITY,
             Param("--delta", as_fraction, help="window as a rational, e.g. 1/20 (default) or 0.05"),
             Param("--delta-exp", float, help="window N^(-delta_exp), snapped to an exact rational"),

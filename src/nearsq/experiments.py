@@ -20,8 +20,7 @@ from .errors import BudgetError, InvalidArgumentError
 
 PAIR_BUDGET_DEFAULT = 10**9
 D_MAX_BUDGET = 10**5  # largest d_max of sieve_decomposition: one exact remainder per d
-TILE = 128  # side of the square tiles of the pair pass when A = B
-CELLS = TILE * TILE  # products decided per tile of the pair pass
+CELLS = 2**14  # products decided per tile of the pair pass
 WINDOW_ROWS = 64  # rows of A per tile of the window pass, which holds at most CELLS windows
 SCREEN = 1024  # screened endpoints per window pass, over 4: tau = SCREEN / windows
 DRAW_CHUNK = 2**20  # uniforms drawn at a time for a Bernoulli subset
@@ -130,7 +129,7 @@ class _PairPass:
     """Certified window decisions on tiles of products ``a*b``.
 
     Every decision and every margin depends on the product alone, so a tile
-    is decided as one flat array, each hit adding the tile's weight.  The
+    is decided as one flat array, each hit adding 1 at its root.  The
     work buffers are allocated once, for the largest tile, and each tile is
     computed into them with ufunc ``out=``: fresh O(tile) temporaries per
     tile made the pass 1.5-2x slower in a fresh process, where glibc trims
@@ -159,17 +158,17 @@ class _PairPass:
         self.sure_near, self.sure_far, self.hit = (np.empty(cells, dtype=bool) for _ in range(3))
         self.index = np.empty(cells, dtype=np.int64)
 
-    def _scatter(self, roots: np.ndarray, hit: np.ndarray, w: int) -> None:
-        """Add ``w`` at each root (a float array of integers) where ``hit`` holds."""
+    def _scatter(self, roots: np.ndarray, hit: np.ndarray) -> None:
+        """Add 1 at each root (a float array of integers) where ``hit`` holds."""
         k = np.count_nonzero(hit)
         np.compress(hit, roots, out=self.gathered[:k])
         np.subtract(self.gathered[:k], self.off, out=self.index[:k], casting="unsafe")
-        np.add.at(self.counts, self.index[:k], w)
+        np.add.at(self.counts, self.index[:k], 1)
 
-    def decide(self, c: int, w: int) -> None:
-        """Add weight ``w`` at every root in the window of each of ``prod[:c]``."""
-        prod, t, l, d, near, gap = (x[:c] for x in (self.prod, self.t, self.l, self.d,
-                                                    self.near, self.gathered))
+    def decide(self, prod: np.ndarray) -> None:
+        """Add 1 at every root in the window of each product of ``prod`` (at most ``cells``)."""
+        c = len(prod)
+        t, l, d, near, gap = (x[:c] for x in (self.t, self.l, self.d, self.near, self.gathered))
         sure_near, sure_far, hit = self.sure_near[:c], self.sure_far[:c], self.hit[:c]
         df, margin = self.df, self.margin
         # gap shares its buffer with the gathered roots: it is read only
@@ -200,12 +199,12 @@ class _PairPass:
             np.logical_and(hit, sure_near, out=hit)
             np.sign(t, out=t)
             np.add(l, t, out=t)  # the far roots l + sign(s)
-            self._scatter(t, hit, w)
+            self._scatter(t, hit)
             np.less(near, -margin, out=hit)
             np.logical_and(hit, sure_far, out=hit)
         else:
             np.less(near, -margin, out=hit)
-        self._scatter(l, hit, w)
+        self._scatter(l, hit)
         self.min_margin = min(self.min_margin, lo)
         if lo <= margin:
             np.abs(near, out=gap)
@@ -213,13 +212,13 @@ class _PairPass:
             if self.two_sided:
                 np.logical_or(hit, ~sure_far, out=hit)
             for m in prod[hit]:
-                self.fallbacks += w
+                self.fallbacks += 1
                 for root in near_square_roots(int(m), self.num, self.den):
-                    self.counts[root - self.off] += w
+                    self.counts[root - self.off] += 1
 
 
 class _WindowPass:
-    """Window counts on tiles of rows a of A against roots l, for delta > 1/2.
+    """Window counts on tiles of rows a of A against roots l.
 
     For a row a and a root l the b with |sqrt(ab) - l| < delta are the b
     strictly inside x = (l - delta)^2 / a and y = (l + delta)^2 / a, whose
@@ -254,12 +253,19 @@ class _WindowPass:
     b of B next to them (b >= a when A = B) make the candidate pairs.  Every
     other pair lies at least (tau - margin) / 4 from every edge, and its
     float gap, which is within the pair margin of its exact gap, at least
-    ``cert`` = (tau - margin) / 4 - 2 * pair margin.  The candidates are
-    decided by ``_PairPass`` itself, into a count of their own.  When their
+    ``cert`` = (tau - margin) / 4 - 2 * pair margin.  The pair pass decides
+    the candidates' products into a count of their own, twice for a b > a
+    when A = B, as the mirror (b, a) has the same product.  When their
     smallest gap lies below ``cert`` and the pair margin does too, that gap
     is the pair pass's minimum, and every pair within the pair margin is a
     candidate: the minimum and the fallbacks are the pair pass's, bit for
     bit.  Otherwise the screen is not certified.
+
+    **Tau** is SCREEN / windows, at most 1/8, and at least 4 / (q^2 N) when
+    p/q = ``delta.limit_denominator(isqrt(N))`` lies within 1 / (q^2 N) of
+    delta: at p/q no gap |q^2 ab - (ql -+ p)^2| / (q^2 (sqrt(ab) + l -+ p/q))
+    lies below about 1 / (4 q^2 N), and the screen finds the smallest gap only
+    for tau above about 4 times that.  Tau can cost time, never a result.
     """
 
     def __init__(self, delta: Fraction, N: int, B: np.ndarray, symmetric: bool,
@@ -345,13 +351,14 @@ class _WindowPass:
         self.counts[e0:e1] += 2 * hits if self.symmetric else hits
 
 
-def _window_count(A: np.ndarray, B: np.ndarray, symmetric: bool, delta: Fraction, N: int,
-                  off: int, pairs: float) -> tuple[np.ndarray, float, int] | None:
+def _window_count(A: np.ndarray, B: np.ndarray, delta: Fraction, N: int, off: int,
+                  pairs: int) -> tuple[np.ndarray, float, int] | None:
     """The count of A x B by windows, with the pair pass's margin and fallbacks.  None,
     before anything is allocated, when its row blocks walk at least ``pairs`` windows (the
     pairs of the pair pass), and None when the screen cannot certify (see ``_WindowPass``)."""
     if len(A) == 0 or len(B) == 0:
         return None
+    symmetric = np.array_equal(A, B)
     rows = WINDOW_ROWS
     cols = max(1, CELLS // rows)
     blocks = []
@@ -364,8 +371,11 @@ def _window_count(A: np.ndarray, B: np.ndarray, symmetric: bool, delta: Fraction
     if windows >= pairs:
         return None
     counts = np.zeros(N + 4, dtype=np.int64)
+    near = delta.limit_denominator(math.isqrt(N))  # p/q, for the floor of tau (_WindowPass)
+    q2N = near.denominator**2 * N
+    floor = 4 / q2N if abs(delta - near) * q2N < 1 else 0.0
     wp = _WindowPass(delta, N, B, symmetric, counts, off, min(len(A), rows) * cols,
-                     min(SCREEN / windows, 0.125))
+                     min(max(SCREEN / windows, floor), 0.125))
     a_f = A.astype(np.float64)
     inv_a = 1.0 / a_f
     for i0, l_lo, l_hi in blocks:
@@ -378,38 +388,34 @@ def _window_count(A: np.ndarray, B: np.ndarray, symmetric: bool, delta: Fraction
         return None
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]  # np.unique imports numpy.ma
     a_c, b_c = np.divmod(keys, wp.stride)
+    prods = (a_c * b_c).astype(np.float64)
+    if symmetric:
+        prods = np.concatenate((prods, prods[b_c != a_c]))  # the mirrors (b, a) of b > a
     chunk = max(1, CELLS // 4)
-    screen = _PairPass(delta, N, np.zeros_like(counts), off, min(len(keys), chunk))
-    weight = np.where(symmetric & (b_c != a_c), 2, 1)  # a pair and its mirror when A = B
-    for w in (1, 2):
-        prods = (a_c * b_c)[weight == w]
-        for j in range(0, len(prods), chunk):
-            c = len(prods[j : j + chunk])
-            screen.prod[:c] = prods[j : j + chunk]
-            screen.decide(c, w)
+    screen = _PairPass(delta, N, np.zeros_like(counts), off, min(len(prods), chunk))
+    for j in range(0, len(prods), chunk):
+        screen.decide(prods[j : j + chunk])
     cert = (wp.tau - wp.margin) / 4 - 2 * screen.margin
     if screen.min_margin < cert and screen.margin < cert:
         return counts, screen.min_margin, screen.fallbacks
     return None
 
 
-def _pair_count(a_f: np.ndarray, b_f: np.ndarray, symmetric: bool, delta: Fraction, N: int,
+def _pair_count(a_f: np.ndarray, b_f: np.ndarray, delta: Fraction, N: int,
                 off: int) -> tuple[np.ndarray, float, int]:
-    """The count of A x B pair by pair, its minimum margin and fallbacks."""
+    """The count of A x B pair by pair, its minimum margin and fallbacks; a tile is
+    ``CELLS // cols`` rows of A against ``cols = min(|B|, CELLS)`` elements of B."""
+    cols = max(1, min(len(b_f), CELLS))  # an empty B runs no tiles, not CELLS // 0
+    rows = CELLS // cols
     counts = np.zeros(N + 4, dtype=np.int64)
-    if symmetric:
-        rows = cols = TILE
-    else:
-        cols = max(1, min(len(b_f), CELLS))  # an empty B runs no tiles, not CELLS // 0
-        rows = CELLS // cols
     pp = _PairPass(delta, N, counts, off, min(len(a_f), rows) * min(len(b_f), cols))
     for i0 in range(0, len(a_f), rows):
         a_rows = a_f[i0 : i0 + rows]
-        for j0 in range(i0 if symmetric else 0, len(b_f), cols):
+        for j0 in range(0, len(b_f), cols):
             b_cols = b_f[j0 : j0 + cols]
             c = len(a_rows) * len(b_cols)
             np.multiply.outer(a_rows, b_cols, out=pp.prod[:c].reshape(len(a_rows), len(b_cols)))
-            pp.decide(c, 2 if symmetric and j0 > i0 else 1)
+            pp.decide(pp.prod[:c])
     return counts, pp.min_margin, pp.fallbacks
 
 
@@ -435,25 +441,12 @@ def count_near_squares(
       once from a prefix count of B.  It walks blocks of ``WINDOW_ROWS``
       rows against every root within 1 of sqrt(ab) for some b of the
       block: about 0.23 N windows per row when A = B and 0.51 N otherwise,
-      whatever |B| is.  It runs when delta > 1/2 and these windows, summed
-      exactly before anything is allocated, are fewer than the pairs the
-      pair pass decides, |A|(|A| + 1)/2 when A = B and |A||B| otherwise: at
-      N = 5000, from Bernoulli density 0.5 when A = B and 0.55 when A != B.
-      There a window cost 0.55-0.95 times a decided pair (delta = N^-0.05).
-      One-sided windows (delta <= 1/2) gained nothing when measured, so
-      they stay on the pair pass.  When its screen cannot certify the pair
-      pass's margin and fallbacks, the pair pass counts again.
-    - The pair pass (``_PairPass``) decides the pairs in tiles of the product
-      matrix, each of at most ``CELLS`` products.  For distinct sets a tile
-      is ``CELLS // cols`` rows of A against ``cols = min(|B|, CELLS)``
-      consecutive elements of B, so a row longer than ``CELLS`` is cut.
-      When A and B hold the same elements, a pair and its mirror have the
-      same product, hence the same decisions, roots and margin: the tiles
-      are then ``TILE x TILE`` squares on and above the diagonal.  A square
-      above it stands in for its mirror too and takes weight 2; a square on
-      it holds each of its pairs and their mirrors, and takes weight 1.
-
-    Each pass allocates its work buffers once per call, not per tile.
+      whatever |B| is.  At every delta it runs when these windows, summed
+      before anything is allocated, are fewer than the |A||B| pairs of the
+      pair pass, and only it uses A = B.  When its screen cannot certify
+      the pair pass's margin and fallbacks, the pair pass counts again.
+    - The pair pass (``_PairPass``, ``_pair_count``) decides every ordered
+      pair, in tiles of at most ``CELLS`` products.
     """
     if A.base_N != B.base_N:
         raise InvalidArgumentError("both subsets must share the same base N")
@@ -467,17 +460,13 @@ def count_near_squares(
     N = A.base_N
     if 4 * N * N > 2**53:
         raise BudgetError("products exceed the exact float-filter range")
-    # every root of a product in (N^2, 4N^2], and its far neighbour, lies in
-    # N - 1 .. 2N + 2
+    # every root of a product in (N^2, 4N^2], and its far neighbour, lies in N - 1 .. 2N + 2
     off = N - 1
-    symmetric = np.array_equal(A.elements, B.elements)
-    pairs = len(A) * (len(A) + 1) // 2 if symmetric else n_pairs
-    got = (_window_count(A.elements, B.elements, symmetric, delta, N, off, pairs)
-           if delta > Fraction(1, 2) else None)
+    got = _window_count(A.elements, B.elements, delta, N, off, n_pairs)
     if got is None:
         # below 2**53 every product of two elements is exact in float64
         got = _pair_count(A.elements.astype(np.float64), B.elements.astype(np.float64),
-                          symmetric, delta, N, off)
+                          delta, N, off)
     counts, margin, fallbacks = got
     return NearSquareCount(
         delta=delta,

@@ -50,7 +50,8 @@ FUZZ_FLAGS = {
     "mertens": {"--z": ["2", "10", "1e5"]},
     "sweep --target=constant": {"--k": ["4", "5"], "--delta-start": ["0.001", "0.05"],
                                 "--delta-end": ["0.002", "0.09"], "--delta-step": ["1e-3", "0.01"]},
-    "experiment": {"--N": ["50", "300"], "--density": ["0.5", "1"], "--delta": ["1/20", "0.3"],
+    "experiment": {"--N": ["50", "300"], "--kind": ["full", "bernoulli"],
+                   "--density": ["0.5", "1"], "--delta": ["1/20", "0.3"],
                    "--delta-exp": ["0.05", "0.5", "-1e10"], "--k": ["2", "6"],
                    "--d-max": ["10", "100"], "--max-pairs": ["100", "10000000"],
                    "--seed": ["0", "3"]},
@@ -239,6 +240,28 @@ class TestSweep:
         ])
         assert code == 0
         assert out.splitlines() == ["delta,k,value,value_unsimplified,discrepancy,quad_error"]
+
+    @pytest.mark.parametrize("grid", [
+        ["--delta-start", "0.001", "--delta-end", "0.002", "--delta-step", "1e-300"],
+        ["--delta-start", "0", "--delta-end", "1", "--delta-step", "1e-4"],
+    ], ids=["step-lost-to-rounding", "one-row-over"])
+    def test_row_budget_refuses_before_any_row(self, capsys, monkeypatch, grid):
+        # 1e-300 vanishes in start + j * step, and 0, 1e-4, ..., 1 is 10,001 rows
+        monkeypatch.setattr(cli, "_sweep_row", lambda task: pytest.fail("a row ran"))
+        code, out, err = run_cli(capsys, ["sweep", "--target", "constant", *grid])
+        assert code == 4
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: sweep of more than {cli.SWEEP_ROW_BUDGET} rows exceeds the row budget"]
+
+    def test_row_budget_takes_a_grid_of_its_size(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "SWEEP_ROW_BUDGET", 5)
+        argv = ["sweep", "--target", "constant", "--delta-start", "0.001", "--delta-step", "0.001"]
+        code, out, _ = run_cli(capsys, argv + ["--delta-end", "0.005"])
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == [
+            "0.001", "0.002", "0.003", "0.004", "0.005"]
+        assert run_cli(capsys, argv + ["--delta-end", "0.006"])[0] == 4
 
     def test_residual_sweep(self, capsys):
         code, out, _ = run_cli(capsys, [
@@ -470,6 +493,33 @@ class TestErrors:
         out = capsys.readouterr()
         assert out.err.splitlines() == err
         assert (out.out == "") == (code != 0)
+
+    def test_density_draws_bernoulli_sets_in_both_commands(self, capsys):
+        # one subset rule for experiment and expsum-check: the same sets
+        code, out, _ = run_cli(capsys, ["expsum-check", "--check", "bilinear", "--N", "300",
+                                        "--H0", "4", "--density", "0.7"])
+        assert code == 0
+        params = json.loads(out)["params"]
+        code, out, _ = run_cli(capsys, ["experiment", "--N", "300", "--density", "0.7"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"]["kind"] == "bernoulli"
+        assert (params["size_A"], params["size_B"]) == (doc["sizes"]["A"], doc["sizes"]["B"])
+        assert params["size_A"] < 300
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "--N", "300", "--kind", "full", "--density", "0.7"],
+        ["expsum-check", "--check", "bilinear", "--N", "300", "--H0", "4", "--kind", "full",
+         "--density", "0.7"],
+        ["expsum-check", "--check", "pairs", "--N", "300", "--X", "10",
+         "--kind", "adversarial-spread", "--density", "0.7"],
+    ], ids=["experiment", "bilinear", "pairs"])
+    def test_density_with_a_kind_that_takes_none_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        kind = argv[argv.index("--kind") + 1]
+        assert err.splitlines() == [f"error: --density draws Bernoulli sets, not --kind {kind}"]
 
     def test_empty_subset_reports_null_residual(self, capsys):
         code, out, err = run_cli(capsys, ["experiment", "--N", "50", "--density", "0.001"])

@@ -261,18 +261,18 @@ class TestCountNearSquares:
     @given(st.integers(0, 10**4), st.sampled_from(MARGIN_WINDOWS + (Fraction(1, 7),)))
     @settings(max_examples=30, deadline=None)
     def test_equal_sets_count_is_additive(self, seed, delta):
-        # the pass for A = B (each unordered pair once, weight 2) against the
-        # pass for distinct sets, field by field
+        # the count of A x A, which the window pass may take as A = B (b >= a,
+        # doubled), against the counts of distinct sets, field by field
         prng = random.Random(seed)
         A, _ = random_instance(prng, n_max=220)
         x = prng.choice(A.elements.tolist())
         assert_count_is_sum(count_near_squares(A, A, delta), split_count(A, x, delta))
 
     def test_full_set_blocks_straddle_rows(self):
-        # a full square tile and a short one on the diagonal, and a short
-        # tile above it, at the default tile size
+        # three full row blocks of the window pass and a short one, at the
+        # default block size
         N = 200
-        assert (N // experiments.TILE, N % experiments.TILE) == (1, 72)
+        assert (N // experiments.WINDOW_ROWS, N % experiments.WINDOW_ROWS) == (3, 8)
         A = generate_subset(N, "full")
         for delta in (float(N) ** -0.05, Fraction(1, 20)) + MARGIN_WINDOWS:
             nsc = count_near_squares(A, A, delta)
@@ -283,9 +283,10 @@ class TestCountNearSquares:
 
     @pytest.mark.parametrize("tile", [1, 2, 3, 5])
     def test_small_tiles_against_oracle(self, monkeypatch, tile):
-        # tiles far smaller than the sets, so that counts cross many tile
-        # edges, short last tiles and diagonal squares
-        monkeypatch.setattr(experiments, "TILE", tile)
+        # pair pass tiles far smaller than the sets, so that counts cross many
+        # tile edges and short last tiles, on A = A too: the window pass,
+        # which would take most of these counts, is kept out
+        monkeypatch.setattr(experiments, "_window_count", lambda *args: None)
         monkeypatch.setattr(experiments, "CELLS", tile * tile)
         prng = random.Random(tile)
         for N in (20, 37, 60):
@@ -305,9 +306,9 @@ class TestCountNearSquares:
         calls = []
         decide = experiments._PairPass.decide
 
-        def counted(pp, c, w):
-            calls.append(c)
-            decide(pp, c, w)
+        def counted(pp, prod):
+            calls.append(len(prod))
+            decide(pp, prod)
 
         monkeypatch.setattr(experiments._PairPass, "decide", counted)
         N = 10**5
@@ -368,6 +369,14 @@ class TestCountNearSquares:
                 assert recount_float(A, B, delta) == nsc.H_count
 
 
+def pair_pass_calls(monkeypatch):
+    """A list that gains an entry at each call of the pair pass."""
+    calls = []
+    pair_count = experiments._pair_count
+    monkeypatch.setattr(experiments, "_pair_count", lambda *args: calls.append(1) or pair_count(*args))
+    return calls
+
+
 def count_both_ways(monkeypatch, A, B, delta, window_tiles=None):
     """The count of A x B by the pair pass and by the window pass, and whether
     the window pass fell back on the pair pass (its screen did not certify).
@@ -382,9 +391,7 @@ def count_both_ways(monkeypatch, A, B, delta, window_tiles=None):
     if window_tiles:
         monkeypatch.setattr(experiments, "WINDOW_ROWS", window_tiles[0])
         monkeypatch.setattr(experiments, "CELLS", window_tiles[1])
-    calls = []
-    pair_count = experiments._pair_count
-    monkeypatch.setattr(experiments, "_pair_count", lambda *args: calls.append(1) or pair_count(*args))
+    calls = pair_pass_calls(monkeypatch)
     windows = count_near_squares(A, B, delta)
     monkeypatch.undo()
     return pairs, windows, bool(calls)
@@ -396,11 +403,12 @@ def assert_same_count(x, y):
         y.H_count, y.l_offset, y.distinct_count, repr(y.boundary_margin), y.exact_fallbacks)
 
 
-TWO_SIDED_WINDOWS = tuple(d for d in MARGIN_WINDOWS if d > Fraction(1, 2))
+# the margin windows, and two one-sided windows of small denominator
+WINDOWS = MARGIN_WINDOWS + (Fraction(1, 2), Fraction(1, 20))
 
 
 class TestWindowPass:
-    """The window pass against the pair pass, field by field, where delta > 1/2."""
+    """The window pass against the pair pass, field by field."""
 
     @pytest.mark.parametrize("N", [50, 200, 1000])
     def test_equal_to_the_pair_pass(self, monkeypatch, N):
@@ -415,7 +423,7 @@ class TestWindowPass:
                   (generate_subset(N, "bernoulli", density=0.05, seed=4), full)]
         certified = fallbacks = 0
         for A, B in shapes:
-            for delta in (float(N) ** -0.05,) + TWO_SIDED_WINDOWS:
+            for delta in (float(N) ** -0.05,) + WINDOWS:
                 pairs, windows, fell_back = count_both_ways(monkeypatch, A, B, delta)
                 assert_same_count(pairs, windows)
                 certified += not fell_back
@@ -429,7 +437,7 @@ class TestWindowPass:
         for _ in range(2):
             A, B = random_instance(prng, n_max=60)
             for X, Y in ((A, A), (A, B), (B, A)):
-                for delta in TWO_SIDED_WINDOWS:
+                for delta in WINDOWS:
                     assert_same_count(*count_both_ways(monkeypatch, X, Y, delta, tiles)[:2])
 
     def test_empty_and_single_rows(self, monkeypatch):
@@ -438,7 +446,7 @@ class TestWindowPass:
         empty = generate_subset(N, "explicit", elements=[])
         full = generate_subset(N, "full")
         for A, B in ((full, empty), (empty, full), (one, full), (full, one), (one, one)):
-            for delta in TWO_SIDED_WINDOWS:
+            for delta in WINDOWS:
                 assert_same_count(*count_both_ways(monkeypatch, A, B, delta)[:2])
 
     def test_uncertified_screen_falls_back(self, monkeypatch):
@@ -451,26 +459,44 @@ class TestWindowPass:
         assert repr(windows.boundary_margin) == repr(1 - 2 / 3)
 
     def test_dense_instances_take_the_window_pass(self, monkeypatch):
-        calls = []
-        pair_count = experiments._pair_count
-        monkeypatch.setattr(experiments, "_pair_count", lambda *args: calls.append(1) or pair_count(*args))
+        # one rule at every delta: dense sets take the window pass, on both
+        # sides of 1/2, and certify
+        calls = pair_pass_calls(monkeypatch)
         N = 2000
         full = generate_subset(N, "full")
+        dense = [generate_subset(N, "bernoulli", density=0.9, seed=s) for s in (1, 2)]
         sparse = generate_subset(N, "bernoulli", density=0.3, seed=1)
-        count_near_squares(full, full, float(N) ** -0.05)
-        count_near_squares(full, generate_subset(N, "bernoulli", density=0.9, seed=2), Fraction(2, 3))
+        for delta in (float(N) ** -0.05, Fraction(2, 3), Fraction(1, 2), Fraction(1, 20)):
+            count_near_squares(full, full, delta)
+            count_near_squares(*dense, delta)
+            count_near_squares(full, dense[1], delta)
         assert not calls
 
-        # one-sided windows and sparse sets stay on the pair pass, and the
-        # rule sends the sparse sets there before the window pass allocates
+        # sets whose windows are not fewer than their pairs stay on the pair
+        # pass, at every delta, and the rule sends them there before the
+        # window pass allocates
         def no_window_pass(*args):
             raise AssertionError("the window pass was built")
 
         monkeypatch.setattr(experiments, "_WindowPass", no_window_pass)
-        count_near_squares(full, full, Fraction(1, 2))
-        count_near_squares(sparse, sparse, Fraction(2, 3))
-        count_near_squares(full, sparse, Fraction(2, 3))
-        assert len(calls) == 3
+        for delta in (Fraction(2, 3), Fraction(1, 2), Fraction(1, 20)):
+            count_near_squares(sparse, sparse, delta)
+            count_near_squares(full, sparse, delta)
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("side", [1, -1], ids=["above", "below"])
+    def test_windows_next_to_one_half_certify(self, monkeypatch, side):
+        # full A = A at 1/2 +- 2^-50: p/q = 1/2 floors tau at 1/N, so the
+        # screen reaches the pairs with ab = l(l + 1), whose gaps are about
+        # 1/(8 l).  At N = 18,059 SCREEN / windows alone does not: without
+        # the floor, 1/2 + 2^-50 fell back on the pair pass here.
+        A = generate_subset(18_059, "full")
+        delta = Fraction(1, 2) + side * TINY
+        calls = pair_pass_calls(monkeypatch)
+        windows = count_near_squares(A, A, delta)
+        assert not calls
+        monkeypatch.setattr(experiments, "_window_count", lambda *args: None)
+        assert_same_count(count_near_squares(A, A, delta), windows)
 
 
 class TestSieveDecomposition:
