@@ -1,7 +1,7 @@
 """Golden CLI reports: each argv in ``golden_experiment.json`` replayed in process.
 
-The file maps each argv (joined by spaces) to the stdout and exit code it
-gave when it was recorded.  A change that alters report bytes on purpose
+The file maps each argv (joined by spaces) to the stdout, stderr and exit
+code it gave when it was recorded.  A change that alters report bytes on purpose
 regenerates the file with ``python tests/test_golden.py`` and lists every
 changed entry in CHANGES.md.
 """
@@ -46,14 +46,42 @@ ARGVS = [
     ["experiment", "--N", "2000", "--density", "0.9", "--delta", "1/2"],
     ["experiment", "--N", "2000", "--delta", "0.4999999999999991"],
     ["experiment", "--N", "2000", "--density", "0.9", "--delta", "1/10"],
+] + [
+    # the analytic commands: C(delta, k) in json and csv, its two sweeps, the
+    # density pair at its default points and across both closed forms and the
+    # table, the sawtooth, the thresholds, Mertens products and the
+    # quadruples sweep
+    argv.split()
+    for argv in (
+        "constant --k 4 --delta 0.0121",
+        "constant --k 5 --delta 0.05 --format csv",
+        "sweep --target constant",
+        "sweep --target constant --k 5 --delta-end 0.099",
+        "sieve-fn",
+        "sieve-fn --query 2 3.5 4.5 5 5.5 6 7.25 10 --format table",
+        "psi-approx --H 100",
+        "threshold",
+        "threshold --eta 9/10 --beta 1 --delta 1/20 --eps 1/1000",
+        "mertens --z 1000",
+        "mertens --z 200000",
+        "sweep --target quadruples",
+        # one failure per exit code 2-5 and 7; 6 (a prime table too small)
+        # is out of reach, as every command sizes its own table
+        "constant --k 3 --delta 0.01",
+        "threshold --eta 1/2 --beta 1/2",
+        "mertens --z 2e6",
+        "constant --k 4 --delta 0.01 --tol 1e-15",
+        "constant --k 4 --delta 0.01 --tol 1e-300",
+        "sieve-fn --query 11",
+    )
 ]
 
 
 def replay(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return {"stdout": out.getvalue(), "exit": code}
+    return {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
 
 
 def write_golden():
