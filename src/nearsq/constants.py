@@ -184,6 +184,9 @@ def weighted_sieve_constant(delta: float, k: int, tol: float = 1e-9) -> Weighted
     upper term 30 int_{t_lo}^{top} (1 + G(t - 1)) / (t (c - t)) dt, with
     G(x) = int_2^{max(x, 2)} g; it needs t_lo = c - 15/k < 3, which holds
     for k in {4, 5}.
+
+    The three J are one quadrature, with one row per log argument; an
+    ``AccuracyError`` names the largest of the three error estimates.
     """
     if k not in (4, 5):
         raise InvalidArgumentError(f"order k must be one of [4, 5], got {k}")
@@ -194,21 +197,19 @@ def weighted_sieve_constant(delta: float, k: int, tol: float = 1e-9) -> Weighted
     s_hi = 3.0 - 10.0 * delta
     pref = 6.0 / (1.0 - 2.0 * delta)
     ratio = top / (c - 15.0 / k) * (15.0 / k)
-
-    def j(h):
-        return integrate(lambda s: log_ratio(s) * np.log(h(s)), 2.0, s_hi, tol)
-
-    j1 = j(lambda s: top / (s + 1.0))
-    j2 = j(lambda s: top * c / (s + 1.0) - 1.0)  # printed
-    j3 = j(lambda s: top * (top - s) / (s + 1.0))  # re-derived
-    shared = math.log(top) + j1.value - 0.5 * math.log(ratio)
-    value = pref * (shared - 0.5 * j2.value)
-    value_unsimplified = pref * (shared - 0.5 * j3.value)
+    # one row per log argument h of J(h): shared, printed, re-derived
+    q = integrate(lambda s: log_ratio(s) * np.log(np.stack((
+        top / (s + 1.0), top * c / (s + 1.0) - 1.0, top * (top - s) / (s + 1.0)))),
+        2.0, s_hi, tol)
+    (j1, j2, j3), (e1, e2, e3) = q.value.tolist(), q.error_estimate.tolist()
+    shared = math.log(top) + j1 - 0.5 * math.log(ratio)
+    value = pref * (shared - 0.5 * j2)
+    value_unsimplified = pref * (shared - 0.5 * j3)
     return WeightedConstantReport(
         delta=float(delta),
         k=k,
         value=value,
         value_unsimplified=value_unsimplified,
         discrepancy=value_unsimplified - value,
-        quad_error=j1.error_estimate + j2.error_estimate + j3.error_estimate,
+        quad_error=e1 + e2 + e3,
     )

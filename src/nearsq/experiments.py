@@ -286,8 +286,6 @@ class _WindowPass:
         self.x, self.y, self.r = (np.empty(cells) for _ in range(3))
         self.ix, self.iy = (np.empty(cells, dtype=np.intp) for _ in range(2))
         self.slow = np.empty(cells, dtype=bool)
-        self.member = np.zeros(2 * N + 2, dtype=bool)  # b in B, for b in [0, 2N + 1]
-        self.member[B] = True
         self.stride = 2 * N + 1  # a candidate pair (a, b) is kept as a * stride + b
         self.candidates: list[np.ndarray] = []
 
@@ -305,7 +303,8 @@ class _WindowPass:
             near = g >= self.thr
             b, rows = iv[ks[near]], a[near]
             b, rows = np.concatenate((b, b + 1)), np.concatenate((rows, rows))
-            keep = np.take(self.member, b, mode="clip")
+            # b in B: C(b) > C(b - 1), and b <= 0 and b > 2N clip to equal counts
+            keep = np.take(self.C, b, mode="clip") > np.take(self.C, b - 1, mode="clip")
             if self.symmetric:
                 keep &= b >= rows
             if keep.any():
@@ -518,13 +517,9 @@ def sieve_decomposition(
     remainders: dict[int, Fraction] = {}
     mult = nsc.multiplicities
     off = nsc.l_offset
-    top = off + len(mult) - 1
     for d in range(1, d_max + 1):
-        first = ((off + d - 1) // d) * d
-        if first > top:
-            counts[d] = 0
-        else:
-            counts[d] = int(mult[first - off :: d].sum())
+        first = ((off + d - 1) // d) * d  # past the end the slice is empty and sums to 0
+        counts[d] = int(mult[first - off :: d].sum())
         remainders[d] = counts[d] - X / d
     return SieveDecomposition(X=X, counts=counts, remainders=remainders)
 

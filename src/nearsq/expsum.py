@@ -42,20 +42,19 @@ class SawtoothApproximation:
     c1: float  # measured sup over h of |h * u(h)|
     c2: float  # measured sup over h of H * v(h)
 
-    def main_term(self, t):
+    def _series(self, t, terms):
+        """``terms`` of the matrix 2 pi t h, a row per t and h = 1..H, at a scalar or array t."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
         h = np.arange(1, self.H + 1, dtype=np.float64)
-        weights = 2.0 * np.imag(self.u_coeffs)  # u(h) e(ht) + conj gives -w sin
-        vals = -np.sin(2.0 * math.pi * np.outer(t_arr, h)) @ weights
-        return float(vals[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else vals
+        vals = terms(2.0 * math.pi * np.outer(t_arr, h))
+        return vals if np.ndim(t) else float(vals[0])
+
+    def main_term(self, t):
+        # u(h) e(ht) + conj gives -w sin, with w = 2 Im u(h)
+        return self._series(t, lambda x: -np.sin(x) @ (2.0 * np.imag(self.u_coeffs)))
 
     def error_kernel(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        h = np.arange(1, self.H + 1, dtype=np.float64)
-        vals = self.v_coeffs[0] + 2.0 * (
-            np.cos(2.0 * math.pi * np.outer(t_arr, h)) @ self.v_coeffs[1:]
-        )
-        return float(vals[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else vals
+        return self._series(t, lambda x: self.v_coeffs[0] + 2.0 * (np.cos(x) @ self.v_coeffs[1:]))
 
 
 def build_sawtooth_approximation(H: int) -> SawtoothApproximation:

@@ -39,10 +39,13 @@ def integrate(
     """Integral of ``fn`` over [a, b] by the 48-node Gauss-Legendre rule.
 
     ``a`` and ``b`` are scalars or arrays of one shape; ``fn`` is called once
-    per rule on an array of nodes with one row per interval.  The error
-    estimate is |Q_24 - Q_48| plus the rounding bound eps * 48 * (b - a)/2 *
-    sum w |f| of the 48-node sum, so it is 0 only on an empty interval.
-    Raises ``AccuracyError`` when any estimate exceeds ``tol`` or is NaN.
+    per rule on an array of nodes with one row per interval.  ``fn`` may
+    return leading axes of its own: a vector-valued integrand gives one row
+    per component, each bit for bit the integral of that component alone.
+    The error estimate is |Q_24 - Q_48| plus the rounding bound eps * 48 *
+    (b - a)/2 * sum w |f| of the 48-node sum, so it is 0 only on an empty
+    interval.  Raises ``AccuracyError``, naming the largest estimate, when
+    any estimate exceeds ``tol`` or is NaN.
     """
     if not 0.0 < tol < math.inf:
         raise InvalidArgumentError(f"quadrature tolerance must be positive and finite, got {tol}")

@@ -100,11 +100,15 @@ class SieveFunctionTable:
     def grid(self) -> np.ndarray:
         return 2.0 + np.arange(len(self.upper_values)) * self.grid_step
 
-    def _interp(self, values: np.ndarray, u: float) -> float:
-        # 4-point Lagrange cubic on the dense grid
-        n = len(values)
+    def _density(self, name: str, closed, top: float, values: np.ndarray, u: float) -> float:
+        """The closed form on (0, top]; beyond it a 4-point Lagrange cubic on the dense grid."""
+        if not 0.0 < u <= self.u_max + 1e-12:
+            raise RangeError(f"{name}(u) needs 0 < u <= u_max={self.u_max}, got {u}")
+        if u <= top:
+            return closed(u)
+        u = min(u, self.u_max)
         pos = (u - 2.0) / self.grid_step
-        j0 = min(max(int(math.floor(pos)) - 1, 0), n - 4)
+        j0 = min(max(int(math.floor(pos)) - 1, 0), len(values) - 4)
         xs = 2.0 + (j0 + np.arange(4)) * self.grid_step
         ys = values[j0 : j0 + 4]
         total = 0.0
@@ -117,18 +121,10 @@ class SieveFunctionTable:
         return total
 
     def upper(self, u: float) -> float:
-        if not 0.0 < u <= self.u_max + 1e-12:
-            raise RangeError(f"upper(u) needs 0 < u <= u_max={self.u_max}, got {u}")
-        if u <= 5.0:
-            return upper_closed(u)
-        return self._interp(self.upper_values, min(u, self.u_max))
+        return self._density("upper", upper_closed, 5.0, self.upper_values, u)
 
     def lower(self, u: float) -> float:
-        if not 0.0 < u <= self.u_max + 1e-12:
-            raise RangeError(f"lower(u) needs 0 < u <= u_max={self.u_max}, got {u}")
-        if u <= 6.0:
-            return lower_closed(u)
-        return self._interp(self.lower_values, min(u, self.u_max))
+        return self._density("lower", lower_closed, 6.0, self.lower_values, u)
 
     def dump_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

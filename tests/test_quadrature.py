@@ -73,6 +73,33 @@ def test_array_bounds_agree_row_by_row_with_scalar_calls():
         assert rows.error_estimate[i] == one.error_estimate
 
 
+def test_vector_integrand_agrees_row_by_row_with_scalar_calls():
+    # the rows of C(delta, k)'s integrand at delta = 0.0121: log arguments
+    # of several magnitudes over one interval, as weighted_sieve_constant has
+    top, c, s_hi = 3.879, 4.879, 2.879
+    args = (
+        lambda s: top / (s + 1.0),
+        lambda s: top * c / (s + 1.0) - 1.0,
+        lambda s: top * (top - s) / (s + 1.0),
+    )
+    rows = integrate(
+        lambda s: np.log(s - 1.0) / s * np.log(np.stack([h(s) for h in args])), 2.0, s_hi, 1e-12
+    )
+    assert rows.value.shape == rows.error_estimate.shape == (3,)
+    for i, h in enumerate(args):
+        one = integrate(lambda s: np.log(s - 1.0) / s * np.log(h(s)), 2.0, s_hi, 1e-12)
+        assert isinstance(one.value, float)
+        assert rows.value[i] == one.value
+        assert rows.error_estimate[i] == one.error_estimate
+
+
+def test_vector_integrand_raises_with_its_largest_estimate():
+    # both rows fail, the first with an estimate of about 2.2e-9 and the
+    # second with about 0.22: the message names the second
+    with pytest.raises(AccuracyError, match="estimate 0.224 "):
+        integrate(lambda t: np.stack((1.0 / (t + 0.05), 1.0 / (t + 1e-3))), 0.0, 1.0, tol=1e-12)
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
 def test_tolerance_must_be_positive_and_finite(tol):
     with pytest.raises(InvalidArgumentError):
