@@ -47,6 +47,9 @@ def test_subdivision_budget_error():
     # leaves |Q_24 - Q_48| at about 0.22, far above any tolerance
     with pytest.raises(AccuracyError, match="estimate 0.22"):
         integrate(lambda t: 1.0 / (t + 1e-3), 0.0, 1.0, tol=1e-9)
+    # of two failing rows (about 2.2e-9 and 0.22) the message names the largest
+    with pytest.raises(AccuracyError, match="estimate 0.224 "):
+        integrate(lambda t: np.stack((1.0 / (t + 0.05), 1.0 / (t + 1e-3))), 0.0, 1.0, tol=1e-12)
     with pytest.raises(AccuracyError):  # a NaN estimate never passes
         integrate(lambda t: np.full_like(t, math.nan), 0.0, 1.0, tol=1e-9)
 
@@ -91,13 +94,6 @@ def test_vector_integrand_agrees_row_by_row_with_scalar_calls():
         assert isinstance(one.value, float)
         assert rows.value[i] == one.value
         assert rows.error_estimate[i] == one.error_estimate
-
-
-def test_vector_integrand_raises_with_its_largest_estimate():
-    # both rows fail, the first with an estimate of about 2.2e-9 and the
-    # second with about 0.22: the message names the second
-    with pytest.raises(AccuracyError, match="estimate 0.224 "):
-        integrate(lambda t: np.stack((1.0 / (t + 0.05), 1.0 / (t + 1e-3))), 0.0, 1.0, tol=1e-12)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
