@@ -74,6 +74,11 @@ ARGVS = [
         "constant --k 4 --delta 0.01 --tol 1e-300",
         "sieve-fn --query 11",
     )
+] + [
+    # the almost-prime order at its edges: no root (k = 0), the primes
+    # (k = 1), and every root (k = 20 and 10^9, past the largest Omega)
+    ["experiment", "--N", "2000", "--density", "0.9", "--delta", "1/3", "--k", str(k)]
+    for k in (0, 1, 2, 20, 10**9)
 ]
 
 
