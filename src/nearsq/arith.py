@@ -55,49 +55,54 @@ class PrimeTable:
     limit: int
     spf: np.ndarray
 
+    def cover(self, top: int) -> None:
+        """Raise ``CoverageError`` unless the table reaches ``top``."""
+        if top > self.limit:
+            raise CoverageError(f"prime table limit {self.limit} cannot factor {top}")
+
 
 def build_prime_table(limit: int) -> PrimeTable:
     """Sieve the smallest prime factor of every n <= ``limit``.
 
-    Every entry starts as itself; each prime p up to sqrt(limit) lowers the
-    multiples from p*p on to p where p is smaller, so the entries that keep
-    their own value are the primes.  Limits above ``PRIME_TABLE_BUDGET``
-    raise before anything is allocated.
+    Every entry starts as itself, and the even ones from 4 on as 2; each odd
+    prime p up to sqrt(limit) lowers its odd multiples from p*p on to at most
+    p, so the entries that keep their own value are the primes.  Limits above
+    ``PRIME_TABLE_BUDGET`` raise before anything is allocated.
     """
     if limit < 2:
         raise InvalidArgumentError("prime table limit must be at least 2")
     if limit > PRIME_TABLE_BUDGET:
         raise BudgetError(f"prime table limit {limit} exceeds the budget of {PRIME_TABLE_BUDGET}")
     spf = np.arange(limit + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(limit) + 1):
+    spf[4::2] = 2
+    for p in range(3, math.isqrt(limit) + 1, 2):
         if spf[p] == p:
-            sl = spf[p * p :: p]
+            sl = spf[p * p :: 2 * p]
             np.minimum(sl, p, out=sl)
     return PrimeTable(limit=limit, spf=spf)
 
 
-def prime_factor_steps(values, table: PrimeTable):
+def prime_factor_steps(values, table: PrimeTable, below: int | None = None):
     """Peel the prime factors off every entry of ``values``, smallest first.
 
-    Each step yields ``(index, p)``: the positions of the entries that are
-    still above 1 and the smallest prime factor of what is left of each, so
-    a prime p dividing an entry e times shows up in e consecutive steps.
-    Omega is the number of steps an entry takes part in, its smallest prime
-    is its first step, and a step whose p equals the entry's previous one is
-    a repeated factor.
+    Each step yields ``(index, p, repeat)``: the positions of the entries
+    still above 1, the smallest prime factor p of what is left of each, and
+    whether p repeats the entry's previous prime.  With ``below``, an entry
+    leaves after its first p >= ``below``, since every later p is larger.
+    ``mertens_product`` reads every p, ``almost_prime_count`` how many steps
+    an entry lasts, and ``weighted_sum`` the distinct p under ``below``.
     """
     rest = np.asarray(values, dtype=np.int64)
-    index = np.nonzero(rest > 1)[0]
-    rest = rest[index]
-    top = int(rest.max()) if rest.size else 0
-    if top > table.limit:  # rest only shrinks, so this covers every step
-        raise CoverageError(f"prime table limit {table.limit} cannot factor {top}")
+    table.cover(int(rest.max(initial=0)))  # rest only shrinks: every step fits the table's dtype
+    index = np.flatnonzero(rest > 1)
+    rest, prev = rest[index].astype(table.spf.dtype), np.zeros(len(index), table.spf.dtype)
     while index.size:
         p = table.spf[rest]
-        yield index, p
-        rest = rest // p
-        left = rest > 1
-        index, rest = index[left], rest[left]
+        yield index, p, p == prev
+        rest //= p
+        # one integer take per array is about twice as fast as three boolean masks
+        left = np.flatnonzero((rest > 1) if below is None else (rest > 1) & (p < below))
+        index, rest, prev = index[left], rest[left], p[left]
 
 
 def near_square_roots(m: int, num: int, den: int) -> list[int]:

@@ -289,7 +289,7 @@ def mertens_product(z: float, table: PrimeTable) -> MertensProduct:
     ps = np.arange(2, math.ceil(z), dtype=np.int32)
     ps = ps[table.spf[2 : math.ceil(z)] == ps]  # the primes below z; rebinding frees the arange
     e = np.zeros(len(ps), dtype=np.int64)  # e[i]: exponent of ps[i] in prod (p - 1)
-    for _, q in prime_factor_steps(ps - 1, table):
+    for _, q, _ in prime_factor_steps(ps - 1, table):
         np.add.at(e, np.searchsorted(ps, q), 1)  # every q divides some p - 1 < z
     in_num = e > 1
     num = _balanced_product([q**k for q, k in zip(ps[in_num].tolist(), (e[in_num] - 1).tolist())])

@@ -24,13 +24,14 @@ from conftest import factor_signature
 def step_signatures(values, table):
     """(Omega, nu, mu, tau) of every entry of ``values``, from the steps of
     ``prime_factor_steps``: a step repeats a prime when its p equals the
-    entry's previous one."""
+    entry's previous one, which the step's own repeat flag must say too."""
     values = np.asarray(values, dtype=np.int64)
     omega, nu, exp, prev = (np.zeros(len(values), dtype=np.int64) for _ in range(4))
     tau = np.ones(len(values), dtype=np.int64)
     square = np.zeros(len(values), dtype=bool)
-    for index, p in prime_factor_steps(values, table):
+    for index, p, repeat in prime_factor_steps(values, table):
         new = p != prev[index]
+        assert np.array_equal(repeat, ~new)
         e = np.where(new, 0, exp[index])
         tau[index] = tau[index] // (e + 1) * (e + 2)
         exp[index] = e + 1
@@ -110,10 +111,34 @@ class TestPrimeTable:
     def test_lookup_edges(self, table_100k):
         assert list(prime_factor_steps([], table_100k)) == []
         # entries <= 1 take no step; 100_000 takes its first at p = 2
-        (index, p), *_ = prime_factor_steps([1, 0, 100_000], table_100k)
-        assert (index.tolist(), p.tolist()) == ([2], [2])
+        (index, p, repeat), *_ = prime_factor_steps([1, 0, 100_000], table_100k)
+        assert (index.tolist(), p.tolist(), repeat.tolist()) == ([2], [2], [False])
         with pytest.raises(CoverageError, match="prime table limit 100000 cannot factor 100001"):
             next(prime_factor_steps([4, 100_001], table_100k))
+
+    def test_every_small_limit_matches_trial_division(self):
+        # the odd-multiple sieve at limits whose top is even, odd, prime or a
+        # prime square
+        oracle = trial_division_spf(1999)
+        for limit in range(2, 2000):
+            assert np.array_equal(build_prime_table(limit).spf, oracle[: limit + 1])
+
+    def test_below_ends_each_walk_at_its_first_large_prime(self, table_100k):
+        values = np.arange(1, 5001)
+        full = {}
+        for index, p, _ in prime_factor_steps(values, table_100k):
+            for i, q in zip(index.tolist(), p.tolist()):
+                full.setdefault(i, []).append(q)
+        for below in (2, 3, 7, 10, 71, 10**6):
+            cut = {}
+            for index, p, _ in prime_factor_steps(values, table_100k, below):
+                for i, q in zip(index.tolist(), p.tolist()):
+                    cut.setdefault(i, []).append(q)
+            want = {}
+            for i, ps in full.items():
+                large = [j for j, q in enumerate(ps) if q >= below]
+                want[i] = ps[: large[0] + 1] if large else ps
+            assert cut == want
 
     def test_allocates_only_spf(self):
         # the sieve works in place: no mask, no primes array, no temporaries

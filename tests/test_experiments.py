@@ -676,6 +676,48 @@ class TestFactorPass:
                 values, N, k, squarefree_only
             )
 
+    @pytest.mark.parametrize("N", [40_000, 150_000])
+    def test_lower_threshold_above_two_agrees_with_oracles(self, N):
+        # above 2^15 the weighted sum skips every even root (lo = 3); at
+        # N = 40,000 and k = 14 its prime range lo <= p < hi is empty
+        rng = np.random.default_rng(N)
+        roots = rng.integers(N, 2 * N + 3, size=400).tolist()
+        # prime squares above hi for every k, a 3^2 below it, and the top edge
+        roots += [-(-N // p**2) * p**2 for p in (127, 211)] + [9 * (N // 9 + 1), 2 * N + 1]
+        nsc = roots_count(N, roots)
+        table = build_prime_table(2 * N + 2)
+        values = rounded_values(nsc)
+        for k in range(4, 15):
+            for squarefree_only in (False, True):
+                assert weighted_sum(nsc, k, table, squarefree_only) == weighted_oracle(
+                    values, N, k, squarefree_only
+                )
+        assert 2**15 < 40_000 <= 3**14  # lo = hi = 3 there
+        omega = {l: len(trial_prime_factors(l)) for l, _ in values}
+        for k in (0, 1, 2, 6, 20):
+            ap = almost_prime_count(nsc, k, table)
+            assert ap.multiset_count == sum(m for l, m in values if omega[l] <= k)
+            assert ap.distinct_count == sum(1 for l, _ in values if omega[l] <= k)
+
+    def test_almost_prime_walk_stops_when_empty(self, monkeypatch):
+        # k = 10^9 takes no more steps than the largest Omega
+        N = 40_000
+        nsc = roots_count(N, [N, 2**16, 3**10, 2 * N + 1])
+        table = build_prime_table(2 * N + 2)
+        steps = []
+        walk = experiments.prime_factor_steps
+
+        def counted(*args):
+            for step in walk(*args):
+                steps.append(step)
+                yield step
+
+        monkeypatch.setattr(experiments, "prime_factor_steps", counted)
+        ap = almost_prime_count(nsc, 10**9, table)
+        assert (ap.multiset_count, ap.distinct_count) == (4, 4)
+        assert len(steps) == 16  # Omega(2^16)
+        assert almost_prime_count(nsc, 0, table).multiset_count == 0
+
     def test_coverage_error_beyond_limit_squared(self):
         nsc = roots_count(100, [101])  # 101 > 10**2
         table = build_prime_table(10)
