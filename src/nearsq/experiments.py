@@ -526,7 +526,7 @@ def sieve_decomposition(
 
 
 def _distinct_values(nsc: NearSquareCount, table: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rounded values, ascending, and their multiplicities, all within ``table``."""
+    """Distinct rounded values, ascending, and their multiplicities; raises past the table."""
     idx = np.flatnonzero(nsc.multiplicities != 0)  # about 4x faster than on the int64 array
     table.cover(int(idx[-1]) + nsc.l_offset if idx.size else 0)
     return idx + nsc.l_offset, nsc.multiplicities[idx]
