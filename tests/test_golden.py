@@ -79,6 +79,13 @@ ARGVS = [
     # (k = 1), and every root (k = 20 and 10^9, past the largest Omega)
     ["experiment", "--N", "2000", "--density", "0.9", "--delta", "1/3", "--k", str(k)]
     for k in (0, 1, 2, 20, 10**9)
+] + [
+    # windows within the float margin of an integer edge, where the window
+    # pass certifies a count with exact fallbacks: next to 1 on full and
+    # Bernoulli(0.9) sets, and next to 0
+    ["experiment", "--N", "300", "--delta", "0.999999999999999"],
+    ["experiment", "--N", "300", "--density", "0.9", "--delta", "0.999999999999999"],
+    ["experiment", "--N", "2000", "--delta", "1/1000000000000000"],
 ]
 
 
