@@ -47,6 +47,7 @@ from .errors import (
     exit_code_for,
 )
 from .experiments import (
+    PAIR_BUDGET_DEFAULT,
     NearSquareCount,
     almost_prime_count,
     check_d_max,
@@ -59,6 +60,7 @@ from .experiments import (
 )
 from .expsum import (
     TERM_BUDGET,
+    _cpu_count,
     bilinear_sum_check,
     build_sawtooth_approximation,
     pair_count,
@@ -390,9 +392,10 @@ def _sweep_row(task: tuple) -> list:
 
 
 def _parallel_map(fn, args, threads: int) -> list:
-    if threads <= 1 or len(args) <= 1:
+    workers = min(threads, len(args), _cpu_count())  # at most one process per row and per CPU
+    if workers <= 1:
         return [fn(a) for a in args]
-    with Pool(processes=min(threads, len(args))) as pool:
+    with Pool(processes=workers) as pool:
         return pool.map(fn, args)  # ordered, deterministic merge
 
 
@@ -525,7 +528,7 @@ COMMANDS = {
             Param("--delta-exp", float, help="window N^(-delta_exp), snapped to an exact rational"),
             Param("--k", _int, 6),
             Param("--d-max", _int, 100),
-            Param("--max-pairs", _int, 10**9),
+            Param("--max-pairs", _int, PAIR_BUDGET_DEFAULT),
             Param("--timing", _switch, False),
             SEED,
             *REPORT,

@@ -249,11 +249,12 @@ class _WindowPass:
     **The pair pass's margin and fallbacks.**  ``boundary_margin`` and
     ``exact_fallbacks`` are per-pair quantities of ``_PairPass``.  A pair
     whose root lies within g < 1 of an edge e = l -+ df has
-    |b - e^2 / a| < g (2 sqrt(b / a) + g / a) < 4g.  So the endpoints
-    within ``tau`` (at least ``margin``) of an integer are screened, and the
-    b of B next to them (b >= a when A = B) make the candidate pairs.  Every
-    other pair lies at least (tau - margin) / 4 from every edge, and its
-    float gap, which is within the pair margin of its exact gap, at least
+    |b - e^2 / a| < g (2 sqrt(b / a) + g / a) < 4g.  So each tile keeps the
+    row and the floor of its endpoints within ``tau`` (at least ``margin``)
+    of an integer, and once per count the b of B next to them (b >= a when
+    A = B) make the candidate pairs.  Every other pair lies at least
+    (tau - margin) / 4 from every edge, and its float gap, which is within
+    the pair margin of its exact gap, at least
     ``cert`` = (tau - margin) / 4 - 2 * pair margin.  The pair pass decides
     the candidates' products into a count of their own, twice for a b > a
     when A = B, as the mirror (b, a) has the same product.  When their
@@ -286,54 +287,35 @@ class _WindowPass:
         np.cumsum(self.C, out=self.C)
         self.x, self.y, self.r = (np.empty(cells) for _ in range(3))
         self.ix, self.iy = (np.empty(cells, dtype=np.intp) for _ in range(2))
-        self.slow = np.empty(cells, dtype=bool)
-        self.stride = 2 * N + 1  # a candidate pair (a, b) is kept as a * stride + b
-        self.candidates: list[np.ndarray] = []
-
-    def _screen(self, ks: np.ndarray, a_rows: np.ndarray, l0: int, cols: int) -> None:
-        """Floor the screened endpoints ``ks`` of the tile exactly; keep their candidate pairs."""
-        a = a_rows.astype(np.int64)[ks // cols]
-        num, den = self.num, self.den
-        for v, iv, sign in ((self.x, self.ix, -1), (self.y, self.iy, 1)):
-            g = v[ks]
-            exact = g >= 0.5 - self.margin
-            for k, row in zip(ks[exact].tolist(), a[exact].tolist()):
-                # floor(x) = P // Q; for y, ceil(y) - 1 = (P' - 1) // Q
-                P = (den * (l0 + k % cols) + sign * num) ** 2
-                iv[k] = (P - (sign > 0)) // (den * den * row)
-            near = g >= self.thr
-            b, rows = iv[ks[near]], a[near]
-            b, rows = np.concatenate((b, b + 1)), np.concatenate((rows, rows))
-            # b in B: C(b) > C(b - 1), and b <= 0 and b > 2N clip to equal counts
-            keep = np.take(self.C, b, mode="clip") > np.take(self.C, b - 1, mode="clip")
-            if self.symmetric:
-                keep &= b >= rows
-            if keep.any():
-                self.candidates.append(rows[keep] * self.stride + b[keep])
+        # a screened endpoint's floor f, below 4(N + 4), is kept as a * stride + f
+        self.stride = 4 * (N + 4) + 1
+        self.screened: list[np.ndarray] = []
 
     def tile(self, a_rows: np.ndarray, inv_a: np.ndarray, l0: int, l1: int) -> None:
         """Add the counts of the windows of ``a_rows`` at roots l0 .. l1 - 1."""
         rows, cols = len(a_rows), l1 - l0
         c = rows * cols
         x, y, r, ix, iy = (v[:c] for v in (self.x, self.y, self.r, self.ix, self.iy))
-        slow = self.slow[:c]
         shape = (rows, cols)
         e0, e1 = l0 - self.off, l1 - self.off
         np.multiply.outer(inv_a, self.lo_edge[e0:e1], out=x.reshape(shape))
         np.multiply.outer(inv_a, self.hi_edge[e0:e1], out=y.reshape(shape))
-        for v, iv in ((x, ix), (y, iy)):
+        num, den = self.num, self.den
+        for v, iv, sign in ((x, ix, -1), (y, iy, 1)):
             # g = (v - 1/2) - rint(v - 1/2) is frac(v) - 1/2, exactly; where
-            # |g| < thr, rint(v - 1/2) is floor(v)
+            # |g| < 1/2 - margin, rint(v - 1/2) is floor(v)
             np.subtract(v, 0.5, out=v)
             np.rint(v, out=r)
             np.subtract(v, r, out=v)
             np.abs(v, out=v)
             np.copyto(iv, r, casting="unsafe")
-        np.maximum(x, y, out=r)
-        np.greater_equal(r, self.thr, out=slow)
-        ks = np.flatnonzero(slow)
-        if len(ks):
-            self._screen(ks, a_rows, l0, cols)
+            ks = np.flatnonzero(v >= self.thr)
+            a = a_rows[ks // cols].astype(np.int64)
+            for k in ks[v[ks] >= 0.5 - self.margin].tolist():
+                # floor(x) = P // Q; for y, ceil(y) - 1 = (P' - 1) // Q
+                P = (den * (l0 + k % cols) + sign * num) ** 2
+                iv[k] = (P - (sign > 0)) // (den * den * int(a_rows[k // cols]))
+            self.screened.append(a * self.stride + iv[ks])
         # count only b > a when A = B; at roots l > a both endpoints exceed a
         # already, as (l - delta)^2 > a^2
         below = min(cols, int(a_rows[-1]) + 1 - l0) if self.symmetric else 0
@@ -383,11 +365,17 @@ def _window_count(A: np.ndarray, B: np.ndarray, delta: Fraction, N: int, off: in
             wp.tile(a_f[i0 : i0 + rows], inv_a[i0 : i0 + rows], l0, min(l0 + cols, l_hi + 1))
     if symmetric:
         counts[A - off] += 1  # the diagonal: sqrt(a * a) = a
-    keys = np.sort(np.concatenate([np.empty(0, dtype=np.int64)] + wp.candidates))
-    if not len(keys):
+    # the candidate pairs: b = f and f + 1 for each screened floor f, in B (C(b) > C(b - 1),
+    # and b <= 0 and b > 2N clip to equal counts), and b >= a when A = B
+    keys = np.concatenate([np.empty(0, dtype=np.int64)] + wp.screened)
+    keys = np.sort(np.concatenate((keys, keys + 1)))
+    a_c, b_c = np.divmod(keys[np.diff(keys, prepend=-1) != 0], wp.stride)  # np.unique imports numpy.ma
+    keep = np.take(wp.C, b_c, mode="clip") > np.take(wp.C, b_c - 1, mode="clip")
+    if symmetric:
+        keep &= b_c >= a_c
+    if not keep.any():
         return None
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]  # np.unique imports numpy.ma
-    a_c, b_c = np.divmod(keys, wp.stride)
+    a_c, b_c = a_c[keep], b_c[keep]
     prods = (a_c * b_c).astype(np.float64)
     if symmetric:
         prods = np.concatenate((prods, prods[b_c != a_c]))  # the mirrors (b, a) of b > a

@@ -156,7 +156,7 @@ def recount_float(A, B, delta):
 
 def rounded_values(nsc):
     """(l, multiplicity) for every rounded root l that a count hit, ascending."""
-    idx = np.nonzero(nsc.multiplicities)[0]
+    idx = np.flatnonzero(nsc.multiplicities != 0)
     return [(int(i) + nsc.l_offset, int(nsc.multiplicities[i])) for i in idx]
 
 

@@ -378,6 +378,35 @@ class TestSweep:
         assert pooled == serial
         assert sizes == [2]
 
+    @pytest.mark.parametrize("cpus, pools", [(3, [3]), (1, [])])
+    def test_pool_is_no_larger_than_the_cpu_count(self, capsys, monkeypatch, cpus, pools):
+        # the fake pool records the size asked for and starts no process; with
+        # one CPU the rows run in process, without a pool
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return [fn(a) for a in args]
+
+        monkeypatch.setattr(cli, "Pool", FakePool)
+        monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+        argv = ["sweep", "--target", "quadruples", "--sizes", "4,8,12,16"]
+        _, serial, _ = run_cli(capsys, argv)
+        code, pooled, _ = run_cli(capsys, argv + ["--threads", "10000"])
+        assert code == 0
+        assert pooled == serial
+        assert len(serial.splitlines()) == 5
+        assert sizes == pools
+
     def test_output_file_and_env_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("NEARSQ_OUTPUT_DIR", str(tmp_path))
         code, out, _ = run_cli(capsys, [

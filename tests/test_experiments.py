@@ -499,6 +499,19 @@ class TestWindowPass:
         assert_same_count(count_near_squares(A, A, delta), windows)
 
 
+@pytest.mark.parametrize("N, a_els, b_els, delta", [
+    (50, [54, 89], [64, 94, 99], Fraction(2, 3)),
+    (30, [35, 59], [32, 35, 43, 47, 48, 54, 55, 60], Fraction(1, 20)),
+    (30, [32, 36, 37, 42, 50, 54], [43, 59], Fraction(2, 3)),
+])
+def test_rows_far_apart_keep_their_own_candidates(monkeypatch, N, a_els, b_els, delta):
+    # rows spread over (N, 2N] share one block, whose roots reach 2N, so their
+    # window ends reach about 4N: a screened floor kept with the wrong row
+    # gives a pair outside A x B, and here one whose gap is below the minimum
+    A = generate_subset(N, "explicit", elements=a_els)
+    B = generate_subset(N, "explicit", elements=b_els)
+    assert_same_count(*count_both_ways(monkeypatch, A, B, delta)[:2])
+
 class TestSieveDecomposition:
     def test_unit_modulus_is_definitional(self):
         A = generate_subset(300, "bernoulli", density=0.6, seed=2)
