@@ -367,9 +367,10 @@ def _window_count(A: np.ndarray, B: np.ndarray, delta: Fraction, N: int, off: in
         counts[A - off] += 1  # the diagonal: sqrt(a * a) = a
     # the candidate pairs: b = f and f + 1 for each screened floor f, in B (C(b) > C(b - 1),
     # and b <= 0 and b > 2N clip to equal counts), and b >= a when A = B
-    keys = np.concatenate([np.empty(0, dtype=np.int64)] + wp.screened)
+    keys = np.concatenate(wp.screened)  # every tile appends, and a count has a tile
     keys = np.sort(np.concatenate((keys, keys + 1)))
-    a_c, b_c = np.divmod(keys[np.diff(keys, prepend=-1) != 0], wp.stride)  # np.unique imports numpy.ma
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # np.unique imports numpy.ma
+    a_c, b_c = np.divmod(keys, wp.stride)
     keep = np.take(wp.C, b_c, mode="clip") > np.take(wp.C, b_c - 1, mode="clip")
     if symmetric:
         keep &= b_c >= a_c
