@@ -16,6 +16,7 @@ import pytest
 from nearsq.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_experiment.json")
+CONFIG = Path(__file__).with_name("golden_config.json")
 
 # full and Bernoulli(0.9) sets at two sizes, at windows on both sides of 1/2,
 # two sweeps whose rows run the experiment handler, the flattened csv and
@@ -86,10 +87,15 @@ ARGVS = [
     ["experiment", "--N", "300", "--delta", "0.999999999999999"],
     ["experiment", "--N", "300", "--density", "0.9", "--delta", "0.999999999999999"],
     ["experiment", "--N", "2000", "--delta", "1/1000000000000000"],
+] + [
+    # a run read from a config file, alone and overriding a flag
+    ["experiment", "--config", CONFIG.name],
+    ["experiment", "--N", "2000", "--config", CONFIG.name],
 ]
 
 
 def replay(argv):
+    argv = [str(CONFIG) if arg == CONFIG.name else arg for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -105,6 +111,11 @@ def write_golden():
 @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
 def test_report_matches_golden(argv):
     assert replay(argv) == json.loads(GOLDEN.read_text())[" ".join(argv)]
+
+
+def test_golden_file_holds_exactly_the_argvs():
+    # an entry left over from a removed argv, or an argv never recorded
+    assert set(json.loads(GOLDEN.read_text())) == {" ".join(argv) for argv in ARGVS}
 
 
 if __name__ == "__main__":
