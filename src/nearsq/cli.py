@@ -10,8 +10,9 @@ strings; ``dispatch`` defaults, checks and converts every value the same way,
 whether it came from a flag, a ``--config`` file or a RunConfig built in code.
 A run is a command and its parameters, nothing else.  ``sweep`` adds no
 computation of its own: each of its rows is one run of the command that
-``SWEEPS`` names for its target, and its cells are keys of that run's report
-(an ``experiment`` row skips the root analysis, which none of its cells read).
+``SWEEPS`` names for its target, and its cells are keys of that run's report.
+An ``experiment`` row calls the command's handler with ``roots=False``: it
+skips the root analysis, which none of its cells read.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import partial
 from multiprocessing import Pool
 from typing import Callable
 
@@ -48,8 +50,8 @@ from .errors import (
 )
 from .experiments import (
     PAIR_BUDGET_DEFAULT,
-    NearSquareCount,
     almost_prime_count,
+    check_base_N,
     check_d_max,
     count_near_squares,
     generate_subset,
@@ -268,29 +270,30 @@ def _cmd_expsum_check(p: dict) -> dict:
     return {**asdict(rec), "ratio": rec.ratio}
 
 
-def _experiment_count(p: dict) -> tuple[NearSquareCount, dict, dict]:
-    """The count of an ``experiment`` run and its report keys that need no root analysis.
-
-    Returns the count, the report keys before the root analysis and those
-    after it, so that ``_cmd_experiment`` can put the analysis in between.
-    """
-    N, k, d_max = p["N"], p["k"], p["d_max"]
-    kind, (A, B) = _subsets(p)
-    delta = p["delta"]
-    if delta is None and p["delta_exp"] is not None:
+def _cmd_experiment(p: dict, roots: bool = True) -> dict:
+    """The ``experiment`` report; without ``roots`` it has no ``sifted`` and
+    ``almost_prime`` keys and builds no prime table (sweep rows read neither)."""
+    t0 = time.perf_counter()
+    N, k, d_max, delta = p["N"], p["k"], p["d_max"], p["delta"]
+    # every check runs before the subsets are drawn
+    if p["delta_exp"] is not None and delta is not None:
+        raise InvalidArgumentError("experiment takes --delta or --delta-exp, not both")
+    check_base_N(N)
+    if p["delta_exp"] is not None:
         if not p["delta_exp"] > 0:  # N^-x would be at least 1, or overflow
             raise InvalidArgumentError("experiment --delta-exp must be positive")
         delta = as_fraction(N ** -p["delta_exp"])
     if delta is None:
         delta = Fraction(1, 20)
-    # checked before any work: z = (3N)^(1/(k+1)) is undefined at k = -1
+    # z = (3N)^(1/(k+1)) is undefined at k = -1
     if k < 0:
         raise InvalidArgumentError("almost-prime order k must be nonnegative")
     check_d_max(d_max)
 
+    kind, (A, B) = _subsets(p)
     nsc = count_near_squares(A, B, delta, max_pairs=p["max_pairs"])
     dec = sieve_decomposition(nsc, len(A), len(B), d_max)
-    head = {
+    report = {
         "config": {
             "N": N,
             "kind": kind,
@@ -310,33 +313,14 @@ def _experiment_count(p: dict) -> tuple[NearSquareCount, dict, dict]:
         "boundary_margin": nsc.boundary_margin if nsc.pair_total else None,
         "exact_fallbacks": nsc.exact_fallbacks,
     }
-    tail = {
-        "scaled_remainder_max_d50": dec.scaled_remainder_max(50),
-        "sieve_counts_by_d": {str(d): dec.counts[d] for d in sorted(dec.counts)[:20]},
-    }
-    return nsc, head, tail
-
-
-def _experiment_row(p: dict) -> dict:
-    """An ``experiment`` report without the root analysis, for sweep rows that read none of it."""
-    _, head, tail = _experiment_count(p)
-    return {**head, **tail}
-
-
-def _cmd_experiment(p: dict) -> dict:
-    t0 = time.perf_counter()
-    nsc, head, tail = _experiment_count(p)
-    N, k = nsc.base_N, p["k"]
-    table = build_prime_table(2 * N + 2)
-    z = (3.0 * N) ** (1.0 / (k + 1))
-    sifted = sifting_function(nsc, z, table)
-    almost = almost_prime_count(nsc, k, table)
-    report = {
-        **head,
-        "sifted": sifted,
-        "almost_prime": {"k": k, "multiset": almost.multiset_count, "distinct": almost.distinct_count},
-        **tail,
-    }
+    if roots:
+        table = build_prime_table(2 * N + 2)
+        report["sifted"] = sifting_function(nsc, (3.0 * N) ** (1.0 / (k + 1)), table)
+        almost = almost_prime_count(nsc, k, table)
+        report["almost_prime"] = {"k": k, "multiset": almost.multiset_count,
+                                  "distinct": almost.distinct_count}
+    report["scaled_remainder_max_d50"] = dec.scaled_remainder_max(50)
+    report["sieve_counts_by_d"] = {str(d): dec.counts[d] for d in sorted(dec.counts)[:20]}
     if p["timing"]:
         report["timing_seconds"] = time.perf_counter() - t0
     return report
@@ -368,27 +352,24 @@ def _cmd_sweep(p: dict) -> str:
         runs = [{"check": "bilinear", "N": n, "H0": p["H0"], "d": p["d"]} for n in p["sizes"]]
     if len(runs) > SWEEP_ROW_BUDGET:
         raise BudgetError(f"sweep of more than {SWEEP_ROW_BUDGET} rows exceeds the row budget")
-    columns = SWEEPS[target][2]
     checkpoint, done = p["checkpoint"], 0
     if checkpoint and os.path.exists(checkpoint):
         with open(checkpoint) as fh:
             text = fh.read().strip()
         done = int(text) if text.isdigit() else 0  # an unreadable count resumes from 0
-    keys = tuple(columns.values())
-    rows = _parallel_map(_sweep_row, [(target, run, keys) for run in runs[done:]], p["threads"])
+    rows = _parallel_map(_sweep_row, [(target, run) for run in runs[done:]], p["threads"])
     if checkpoint:
         with open(checkpoint, "w") as fh:
             fh.write(str(len(runs)))
-    return csv_text(list(columns), rows)
+    return csv_text(list(SWEEPS[target][2]), rows)
 
 
 def _sweep_row(task: tuple) -> list:
     """The cells of one run's report, each named by a dotted key such as ``sizes.A``."""
-    target, run, keys = task
-    command, handler, _ = SWEEPS[target]
-    report = handler(_resolve(RunConfig(command, run), COMMANDS[command][3]))
-    flat = flatten(report)
-    return [flat[key] for key in keys]
+    target, run = task
+    command, handler, columns = SWEEPS[target]
+    flat = flatten(handler(_resolve(RunConfig(command, run), COMMANDS[command][3])))
+    return [flat[key] for key in columns.values()]
 
 
 def _parallel_map(fn, args, threads: int) -> list:
@@ -401,15 +382,15 @@ def _parallel_map(fn, args, threads: int) -> list:
 
 # sweep target -> (command whose parameters a row takes, handler that makes the
 # row's report, {CSV column: key of that report}).  Experiment rows read no
-# root analysis, so they skip it: their report is the command's without it.
+# root analysis, so their handler skips it.
 SWEEPS = {
     "constant": ("constant", _cmd_constant,
                  {c: c for c in ("delta", "k", "value", "value_unsimplified", "discrepancy",
                                  "quad_error")}),
-    "residual": ("experiment", _experiment_row,
+    "residual": ("experiment", partial(_cmd_experiment, roots=False),
                  {"N": "config.N", "seed": "config.seed", "size_A": "sizes.A",
                   "size_B": "sizes.B", "H": "H", "residual": "residual"}),
-    "remainder": ("experiment", _experiment_row,
+    "remainder": ("experiment", partial(_cmd_experiment, roots=False),
                   {"N": "config.N", "delta": "config.delta_float", "H": "H", "X": "X",
                    "scaled_remainder_max": "scaled_remainder_max_d50"}),
     "quadruples": ("expsum-check", _cmd_expsum_check,

@@ -408,6 +408,15 @@ def _pair_count(a_f: np.ndarray, b_f: np.ndarray, delta: Fraction, N: int,
     return counts, pp.min_margin, pp.fallbacks
 
 
+def check_base_N(N: int) -> None:
+    """Reject an N whose sets of (N, 2N] can never be counted, before any is drawn:
+    below 2, or with products over 2**53, past the exact float filter."""
+    if N < 2:
+        raise InvalidArgumentError("base_N must be at least 2")
+    if 4 * N * N > 2**53:
+        raise BudgetError("products exceed the exact float-filter range")
+
+
 def count_near_squares(
     A: IntervalSubset,
     B: IntervalSubset,
@@ -447,8 +456,7 @@ def count_near_squares(
         raise BudgetError(f"{n_pairs} pairs exceed the budget of {max_pairs}")
 
     N = A.base_N
-    if 4 * N * N > 2**53:
-        raise BudgetError("products exceed the exact float-filter range")
+    check_base_N(N)
     # every root of a product in (N^2, 4N^2], and its far neighbour, lies in N - 1 .. 2N + 2
     off = N - 1
     got = _window_count(A.elements, B.elements, delta, N, off, n_pairs)

@@ -111,6 +111,31 @@ SWEEP_COMMANDS = {
 }
 
 
+class FakePool:
+    """A pool that records the size asked for and maps in process: no process starts."""
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, args):
+        return [fn(a) for a in args]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The sizes of the pools a run asks for, with ``FakePool`` in place of ``cli.Pool``."""
+    sizes = []
+    monkeypatch.setattr(FakePool, "sizes", sizes, raising=False)
+    monkeypatch.setattr(cli, "Pool", FakePool)
+    return sizes
+
+
 class TestThreshold:
     def test_balanced_case(self, capsys):
         code, out, _ = run_cli(capsys, ["threshold", "--eta", "1", "--beta", "1", "--delta", "0"])
@@ -353,51 +378,19 @@ class TestSweep:
         assert pooled == serial
         assert len(serial.splitlines()) == 4
 
-    def test_pool_is_no_larger_than_the_row_count(self, capsys, monkeypatch):
-        # a fake pool that records its size and maps in process: no process starts
-        sizes = []
-
-        class FakePool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, args):
-                return [fn(a) for a in args]
-
-        monkeypatch.setattr(cli, "Pool", FakePool)
+    def test_pool_is_no_larger_than_the_row_count(self, capsys, monkeypatch, pool_sizes):
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 64)
         argv = ["sweep", "--target", "quadruples", "--sizes", "4,8"]
         _, serial, _ = run_cli(capsys, argv)
         code, pooled, _ = run_cli(capsys, argv + ["--threads", "500"])
         assert code == 0
         assert pooled == serial
-        assert sizes == [2]
+        assert pool_sizes == [2]
 
     @pytest.mark.parametrize("cpus, pools", [(3, [3]), (1, [])])
-    def test_pool_is_no_larger_than_the_cpu_count(self, capsys, monkeypatch, cpus, pools):
-        # the fake pool records the size asked for and starts no process; with
-        # one CPU the rows run in process, without a pool
-        sizes = []
-
-        class FakePool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, args):
-                return [fn(a) for a in args]
-
-        monkeypatch.setattr(cli, "Pool", FakePool)
+    def test_pool_is_no_larger_than_the_cpu_count(self, capsys, monkeypatch, pool_sizes,
+                                                  cpus, pools):
+        # with one CPU the rows run in process, without a pool
         monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
         argv = ["sweep", "--target", "quadruples", "--sizes", "4,8,12,16"]
         _, serial, _ = run_cli(capsys, argv)
@@ -405,7 +398,7 @@ class TestSweep:
         assert code == 0
         assert pooled == serial
         assert len(serial.splitlines()) == 5
-        assert sizes == pools
+        assert pool_sizes == pools
 
     def test_output_file_and_env_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("NEARSQ_OUTPUT_DIR", str(tmp_path))
@@ -498,6 +491,37 @@ class TestErrors:
             "experiment", "--N", "5000", "--delta", "0.1", "--max-pairs", "100",
         ])
         assert code == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "--N", "50000000"],
+        ["experiment", "--N", "47453133", "--density", "0.001"],
+        ["experiment", "--N", str(10**9), "--delta-exp", "0.05"],
+        ["sweep", "--target", "remainder", "--N-list", "50000000"],
+    ], ids=["full", "bernoulli", "delta-exp", "remainder-sweep"])
+    def test_uncountable_N_is_refused_before_any_draw(self, capsys, monkeypatch, argv):
+        # 4 N^2 > 2^53 from N = 47,453,133 on, whatever the sets; drawing the
+        # full sets of N = 5 * 10^7 alone takes 800 MB
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a subset was drawn")
+
+        monkeypatch.setattr(cli, "generate_subset", no_draw)
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (4, "")
+        assert err.splitlines() == ["error: products exceed the exact float-filter range"]
+
+    def test_delta_and_delta_exp_together_exit_2(self, capsys, tmp_path):
+        message = ["error: experiment takes --delta or --delta-exp, not both"]
+        argv = ["experiment", "--N", "300"]
+        code, out, err = run_cli(capsys, argv + ["--delta", "1/3", "--delta-exp", "0.05"])
+        assert (code, out, err.splitlines()) == (2, "", message)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"parameters": {"delta": "1/3", "delta_exp": 0.05}}))
+        code, out, err = run_cli(capsys, argv + ["--config", str(cfg)])
+        assert (code, out, err.splitlines()) == (2, "", message)
+        # one from a flag and one from the file
+        cfg.write_text(json.dumps({"parameters": {"delta_exp": 0.05}}))
+        code, out, err = run_cli(capsys, argv + ["--delta", "1/3", "--config", str(cfg)])
+        assert (code, out, err.splitlines()) == (2, "", message)
 
     def test_expsum_check_missing_parameter_exits_2(self, capsys):
         code, out, err = run_cli(capsys, ["expsum-check", "--check", "pairs", "--N", "10"])
