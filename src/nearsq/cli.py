@@ -23,7 +23,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from multiprocessing import Pool
@@ -53,6 +53,8 @@ from .experiments import (
     almost_prime_count,
     check_base_N,
     check_d_max,
+    check_delta,
+    check_pair_budget,
     count_near_squares,
     generate_subset,
     main_term_dominant,
@@ -65,6 +67,7 @@ from .expsum import (
     _cpu_count,
     bilinear_sum_check,
     build_sawtooth_approximation,
+    check_bilinear_terms,
     pair_count,
     quadruple_count,
 )
@@ -82,16 +85,18 @@ class RunConfig:
     command: str
     parameters: dict = field(default_factory=dict)
 
-REQUIRED = ...  # the default of a parameter that every run must give
+REQUIRED = ...  # the default of a parameter that every run reading it must give
 
 
 @dataclass(frozen=True)
 class Param:
     """One parameter of one command: its flag, converter, default and choices.
 
-    A parameter is required when its default is ``REQUIRED``, or when the
-    command's first parameter (its mode) is in ``needed_by``.  With ``nargs``,
-    ``convert`` reads each list item.
+    A command whose first parameter has choices runs in the mode it names.
+    ``needed_by`` lists the modes that read the parameter, and is empty when
+    every run reads it: a parameter given in any other mode is an error, and
+    one whose default is ``REQUIRED`` is required in the modes that read it.
+    With ``nargs``, ``convert`` reads each list item.
     """
 
     flag: str
@@ -248,24 +253,32 @@ def _cmd_psi_approx(p: dict) -> dict:
     }
 
 
-def _subsets(p: dict, count: int = 2) -> tuple[str, list]:
-    """A run's subset kind and its sets A and B (seeds ``seed`` and ``seed + 1``).
-    ``--density`` means Bernoulli sets: the default kind with it, and no other kind's."""
+def _kind(p: dict) -> str:
+    """A run's subset kind.  ``--density`` means Bernoulli sets: the default kind
+    with it, and no other kind's."""
     density = p["density"]
     kind = p["kind"] or ("full" if density is None else "bernoulli")
     if density is not None and kind in ("full", "adversarial-spread"):
         raise InvalidArgumentError(f"--density draws Bernoulli sets, not --kind {kind}")
-    return kind, [generate_subset(p["N"], kind, density=density, seed=p["seed"] + i)
-                  for i in range(count)]
+    return kind
+
+
+def _subsets(p: dict, kind: str, count: int = 2) -> list:
+    """A run's sets A and B of ``kind``, drawn with seeds ``seed`` and ``seed + 1``."""
+    return [generate_subset(p["N"], kind, density=p["density"], seed=p["seed"] + i)
+            for i in range(count)]
 
 
 def _cmd_expsum_check(p: dict) -> dict:
     if p["check"] == "quadruples":
         rec = quadruple_count(p["M"], p["N"], p["theta"], p["alpha"], p["beta"])
     elif p["check"] == "pairs":
-        rec = pair_count(_subsets(p, 1)[1][0], p["X"])
+        rec = pair_count(_subsets(p, _kind(p), 1)[0], p["X"])
     else:
-        A, B = _subsets(p)[1]
+        kind = _kind(p)
+        if kind == "full":  # |A| = |B| = N: the term budget holds before the draw
+            check_bilinear_terms(p["H0"], p["d"], p["N"], p["N"])
+        A, B = _subsets(p, kind)
         rec = bilinear_sum_check(p["H0"], A, B, d=p["d"], weights=p["weights"])
     return {**asdict(rec), "ratio": rec.ratio}
 
@@ -289,8 +302,12 @@ def _cmd_experiment(p: dict, roots: bool = True) -> dict:
     if k < 0:
         raise InvalidArgumentError("almost-prime order k must be nonnegative")
     check_d_max(d_max)
+    kind = _kind(p)
+    check_delta(delta)
+    if kind == "full":  # |A||B| = N^2: the pair budget holds before the draw
+        check_pair_budget(N * N, p["max_pairs"])
 
-    kind, (A, B) = _subsets(p)
+    A, B = _subsets(p, kind)
     nsc = count_near_squares(A, B, delta, max_pairs=p["max_pairs"])
     dec = sieve_decomposition(nsc, len(A), len(B), d_max)
     report = {
@@ -479,18 +496,18 @@ COMMANDS = {
         "N H0 (|A||B|)^{1/4} (1 + sqrt(d/H0)) log^{1/2}(2 N H0).",
         (
             Param("--check", default="pairs", choices=("quadruples", "pairs", "bilinear")),
-            Param("--M", _int, needed_by=("quadruples",)),
-            Param("--N", _int, needed_by=("quadruples", "pairs", "bilinear")),
-            Param("--theta", float, needed_by=("quadruples",)),
-            Param("--alpha", float, 0.5),
-            Param("--beta", float, 0.5),
-            Param("--X", float, needed_by=("pairs",)),
-            Param("--H0", _int, needed_by=("bilinear",)),
-            Param("--d", _int, 1),
-            KIND,
-            DENSITY,
-            Param("--weights", default="unit", choices=("unit", "adversarial")),
-            SEED,
+            Param("--M", _int, REQUIRED, ("quadruples",)),
+            Param("--N", _int, REQUIRED),
+            Param("--theta", float, REQUIRED, ("quadruples",)),
+            Param("--alpha", float, 0.5, ("quadruples",)),
+            Param("--beta", float, 0.5, ("quadruples",)),
+            Param("--X", float, REQUIRED, ("pairs",)),
+            Param("--H0", _int, REQUIRED, ("bilinear",)),
+            Param("--d", _int, 1, ("bilinear",)),
+            *(replace(prm, needed_by=("pairs", "bilinear")) for prm in (KIND, DENSITY)),
+            Param("--weights", default="unit", needed_by=("bilinear",),
+                  choices=("unit", "adversarial")),
+            replace(SEED, needed_by=("pairs", "bilinear")),
             *REPORT,
         ),
     ),
@@ -525,18 +542,18 @@ COMMANDS = {
         "bound-ratio records).  Always writes CSV.",
         (
             Param("--target", default="constant", choices=tuple(SWEEPS)),
-            Param("--k", _int, 4),
-            Param("--delta-start", float, 1e-4),
-            Param("--delta-end", float, 0.0121),
-            Param("--delta-step", float, 1e-4),
-            Param("--N-list", _int_list, "1000"),
-            Param("--seeds", _seed_list, "0", help="comma list or a:b range"),
-            Param("--delta", as_fraction, "0.05"),
-            DENSITY,
-            Param("--sizes", _int_list, "4,8,16,32"),
-            Param("--theta", float, 1e-6),
-            Param("--H0", _int, 4),
-            Param("--d", _int, 1),
+            Param("--k", _int, 4, ("constant",)),
+            Param("--delta-start", float, 1e-4, ("constant",)),
+            Param("--delta-end", float, 0.0121, ("constant",)),
+            Param("--delta-step", float, 1e-4, ("constant",)),
+            Param("--N-list", _int_list, "1000", ("residual", "remainder")),
+            Param("--seeds", _seed_list, "0", ("residual",), help="comma list or a:b range"),
+            Param("--delta", as_fraction, "0.05", ("residual",)),
+            replace(DENSITY, needed_by=("residual",)),
+            Param("--sizes", _int_list, "4,8,16,32", ("quadruples", "bilinear")),
+            Param("--theta", float, 1e-6, ("quadruples",)),
+            Param("--H0", _int, 4, ("bilinear",)),
+            Param("--d", _int, 1, ("bilinear",)),
             Param("--checkpoint"),
             Param("--threads", _int, 1, help="worker pool size"),
             OUTPUT,
@@ -561,8 +578,8 @@ def _convert(command: str, prm: Param, value):
 
 def _resolve(config: RunConfig, params: tuple) -> dict:
     """Every parameter of the command, converted or defaulted; raises on a name
-    the command does not declare, on a value that does not convert and on a
-    missing required parameter."""
+    the command does not declare, on a value that does not convert, on a
+    parameter its mode does not read and on a missing required parameter."""
     unknown = set(config.parameters) - {prm.name for prm in params}
     if unknown:
         raise InvalidArgumentError(f"unknown parameter {', '.join(sorted(unknown))} "
@@ -574,11 +591,15 @@ def _resolve(config: RunConfig, params: tuple) -> dict:
             value = prm.default
         p[prm.name] = None if value is None else _convert(config.command, prm, value)
     mode = p[params[0].name] if params[0].choices else None
-    missing = [prm.flag for prm in params if p[prm.name] is None
-               and (prm.default is REQUIRED or mode in prm.needed_by)]
+    # "experiment needs --N", or per mode: "expsum check 'pairs' needs --X"
+    who = f"{config.command.replace('-', ' ')} {mode!r}" if mode else config.command
+    read = [prm for prm in params if not prm.needed_by or mode in prm.needed_by]
+    unread = [prm.flag for prm in params if prm not in read
+              and config.parameters.get(prm.name) is not None]
+    if unread:
+        raise InvalidArgumentError(f"{who} does not read {', '.join(unread)}")
+    missing = [prm.flag for prm in read if p[prm.name] is None and prm.default is REQUIRED]
     if missing:
-        # "experiment needs --N", or per mode: "expsum check 'pairs' needs --X"
-        who = f"{config.command.replace('-', ' ')} {mode!r}" if mode else config.command
         raise InvalidArgumentError(f"{who} needs {', '.join(missing)}")
     return p
 
@@ -618,8 +639,11 @@ def build_parser() -> argparse.ArgumentParser:
                 how = {"action": "store_true", "default": None}
             else:
                 how = {"nargs": prm.nargs, "choices": prm.choices or None}
+            # e.g. "required, only with --check quadruples"
+            only = prm.needed_by and f"only with {params[0].flag} {' or '.join(prm.needed_by)}"
+            text = "required" if prm.default is REQUIRED else prm.help
             sub.add_argument(prm.flag, dest=prm.name, **how,
-                             help="required" if prm.default is REQUIRED else prm.help)
+                             help=", ".join(filter(None, (text, only))) or None)
         sub.add_argument("--config", help="JSON config file; wins over flags")
     return parser
 

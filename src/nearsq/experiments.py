@@ -16,7 +16,8 @@ from itertools import count, islice
 
 import numpy as np
 
-from .arith import PrimeTable, as_fraction, near_square_roots, prime_factor_steps
+from .arith import (PRIME_TABLE_BUDGET, PrimeTable, as_fraction, near_square_roots,
+                    prime_factor_steps)
 from .errors import BudgetError, InvalidArgumentError
 
 PAIR_BUDGET_DEFAULT = 10**9
@@ -67,6 +68,8 @@ def generate_subset(
     """
     if base_N < 2:
         raise InvalidArgumentError("base_N must be at least 2")
+    if kind != "explicit" and base_N > PRIME_TABLE_BUDGET:  # its window or draw is 8N bytes
+        raise BudgetError(f"base_N = {base_N} exceeds the budget of {PRIME_TABLE_BUDGET}")
     if kind == "bernoulli":
         if density is None or not 0.0 < density <= 1.0:
             raise InvalidArgumentError("bernoulli density must lie in (0, 1]")
@@ -218,8 +221,13 @@ class _PairPass:
                     self.counts[root - self.off] += 1
 
 
-class _WindowPass:
-    """Window counts on tiles of rows a of A against roots l.
+def _window_count(A: np.ndarray, B: np.ndarray, delta: Fraction, N: int, off: int,
+                  pairs: int) -> tuple[np.ndarray, float, int] | None:
+    """The count of A x B by windows, with the pair pass's margin and fallbacks.
+
+    None, before anything is allocated, when its row blocks walk at least
+    ``pairs`` windows (the pairs of the pair pass), and None when the screen
+    cannot certify.
 
     For a row a and a root l the b with |sqrt(ab) - l| < delta are the b
     strictly inside x = (l - delta)^2 / a and y = (l + delta)^2 / a, whose
@@ -269,75 +277,6 @@ class _WindowPass:
     lies below about 1 / (4 q^2 N), and the screen finds the smallest gap only
     for tau above about 4 times that.  Tau can cost time, never a result.
     """
-
-    def __init__(self, delta: Fraction, N: int, B: np.ndarray, symmetric: bool,
-                 counts: np.ndarray, off: int, cells: int, tau: float):
-        self.num, self.den = delta.numerator, delta.denominator
-        self.symmetric = symmetric
-        self.margin = 8.0 * np.spacing(4.0 * (N + 4))
-        self.tau = max(tau, self.margin)
-        self.thr = 0.5 - self.tau  # |f - 1/2| >= thr: f within tau of 0 or 1
-        self.counts, self.off = counts, off
-        roots = np.arange(off, off + len(counts), dtype=np.float64)
-        df = float(delta)
-        self.lo_edge, self.hi_edge = (roots - df) ** 2, (roots + df) ** 2
-        # C(t) for t in [0, 2N]; np.take(mode="clip") reads C(2N) = |B| above 2N
-        self.C = np.zeros(2 * N + 1, dtype=np.int32)
-        self.C[B] = 1
-        np.cumsum(self.C, out=self.C)
-        self.x, self.y, self.r = (np.empty(cells) for _ in range(3))
-        self.ix, self.iy = (np.empty(cells, dtype=np.intp) for _ in range(2))
-        # a screened endpoint's floor f, below 4(N + 4), is kept as a * stride + f
-        self.stride = 4 * (N + 4) + 1
-        self.screened: list[np.ndarray] = []
-
-    def tile(self, a_rows: np.ndarray, inv_a: np.ndarray, l0: int, l1: int) -> None:
-        """Add the counts of the windows of ``a_rows`` at roots l0 .. l1 - 1."""
-        rows, cols = len(a_rows), l1 - l0
-        c = rows * cols
-        x, y, r, ix, iy = (v[:c] for v in (self.x, self.y, self.r, self.ix, self.iy))
-        shape = (rows, cols)
-        e0, e1 = l0 - self.off, l1 - self.off
-        np.multiply.outer(inv_a, self.lo_edge[e0:e1], out=x.reshape(shape))
-        np.multiply.outer(inv_a, self.hi_edge[e0:e1], out=y.reshape(shape))
-        num, den = self.num, self.den
-        for v, iv, sign in ((x, ix, -1), (y, iy, 1)):
-            # g = (v - 1/2) - rint(v - 1/2) is frac(v) - 1/2, exactly; where
-            # |g| < 1/2 - margin, rint(v - 1/2) is floor(v)
-            np.subtract(v, 0.5, out=v)
-            np.rint(v, out=r)
-            np.subtract(v, r, out=v)
-            np.abs(v, out=v)
-            np.copyto(iv, r, casting="unsafe")
-            ks = np.flatnonzero(v >= self.thr)
-            a = a_rows[ks // cols].astype(np.int64)
-            for k in ks[v[ks] >= 0.5 - self.margin].tolist():
-                # floor(x) = P // Q; for y, ceil(y) - 1 = (P' - 1) // Q
-                P = (den * (l0 + k % cols) + sign * num) ** 2
-                iv[k] = (P - (sign > 0)) // (den * den * int(a_rows[k // cols]))
-            self.screened.append(a * self.stride + iv[ks])
-        # count only b > a when A = B; at roots l > a both endpoints exceed a
-        # already, as (l - delta)^2 > a^2
-        below = min(cols, int(a_rows[-1]) + 1 - l0) if self.symmetric else 0
-        if below > 0:
-            a_col = a_rows.astype(np.intp)[:, None]
-            for iv in (ix, iy):
-                clip = iv.reshape(shape)[:, :below]
-                np.maximum(clip, a_col, out=clip)
-        # the prefix counts take the bytes of r, which is read no more
-        cx, cy = r.view(np.int32)[:c], r.view(np.int32)[c:]
-        np.take(self.C, ix, mode="clip", out=cx)
-        np.take(self.C, iy, mode="clip", out=cy)
-        np.subtract(cy, cx, out=cy)
-        hits = cy.reshape(shape).sum(axis=0)
-        self.counts[e0:e1] += 2 * hits if self.symmetric else hits
-
-
-def _window_count(A: np.ndarray, B: np.ndarray, delta: Fraction, N: int, off: int,
-                  pairs: int) -> tuple[np.ndarray, float, int] | None:
-    """The count of A x B by windows, with the pair pass's margin and fallbacks.  None,
-    before anything is allocated, when its row blocks walk at least ``pairs`` windows (the
-    pairs of the pair pass), and None when the screen cannot certify (see ``_WindowPass``)."""
     if len(A) == 0 or len(B) == 0:
         return None
     symmetric = np.array_equal(A, B)
@@ -352,26 +291,73 @@ def _window_count(A: np.ndarray, B: np.ndarray, delta: Fraction, N: int, off: in
     windows = sum(len(A[i0 : i0 + rows]) * (l_hi + 1 - l_lo) for i0, l_lo, l_hi in blocks)
     if windows >= pairs:
         return None
-    counts = np.zeros(N + 4, dtype=np.int64)
-    near = delta.limit_denominator(math.isqrt(N))  # p/q, for the floor of tau (_WindowPass)
+    num, den = delta.numerator, delta.denominator
+    margin = 8.0 * np.spacing(4.0 * (N + 4))
+    near = delta.limit_denominator(math.isqrt(N))  # p/q, for the floor of tau
     q2N = near.denominator**2 * N
     floor = 4 / q2N if abs(delta - near) * q2N < 1 else 0.0
-    wp = _WindowPass(delta, N, B, symmetric, counts, off, min(len(A), rows) * cols,
-                     min(max(SCREEN / windows, floor), 0.125))
-    a_f = A.astype(np.float64)
-    inv_a = 1.0 / a_f
+    tau = max(min(max(SCREEN / windows, floor), 0.125), margin)
+    thr = 0.5 - tau  # |f - 1/2| >= thr: f within tau of 0 or 1
+    counts = np.zeros(N + 4, dtype=np.int64)
+    roots = np.arange(off, off + len(counts), dtype=np.float64)
+    df = float(delta)
+    lo_edge, hi_edge = (roots - df) ** 2, (roots + df) ** 2
+    # C(t) for t in [0, 2N]; np.take(mode="clip") reads C(2N) = |B| above 2N
+    C = np.zeros(2 * N + 1, dtype=np.int32)
+    C[B] = 1
+    np.cumsum(C, out=C)
+    cells = min(len(A), rows) * cols
+    bufs = [np.empty(cells, dtype=t) for t in (float, float, float, np.intp, np.intp)]
+    # a screened endpoint's floor f, below 4(N + 4), is kept as a * stride + f
+    stride = 4 * (N + 4) + 1
+    screened = []
+    inv_a = 1.0 / A
     for i0, l_lo, l_hi in blocks:
+        a_rows, inv_rows = A[i0 : i0 + rows], inv_a[i0 : i0 + rows]
         for l0 in range(l_lo, l_hi + 1, cols):
-            wp.tile(a_f[i0 : i0 + rows], inv_a[i0 : i0 + rows], l0, min(l0 + cols, l_hi + 1))
+            # the windows of a_rows at roots l0 .. l0 + n_cols - 1
+            n_cols = min(cols, l_hi + 1 - l0)
+            shape, c, e0 = (len(a_rows), n_cols), len(a_rows) * n_cols, l0 - off
+            x, y, r, ix, iy = (v[:c] for v in bufs)
+            np.multiply.outer(inv_rows, lo_edge[e0 : e0 + n_cols], out=x.reshape(shape))
+            np.multiply.outer(inv_rows, hi_edge[e0 : e0 + n_cols], out=y.reshape(shape))
+            for v, iv, sign in ((x, ix, -1), (y, iy, 1)):
+                # g = (v - 1/2) - rint(v - 1/2) is frac(v) - 1/2, exactly; where
+                # |g| < 1/2 - margin, rint(v - 1/2) is floor(v)
+                np.subtract(v, 0.5, out=v)
+                np.rint(v, out=r)
+                np.subtract(v, r, out=v)
+                np.abs(v, out=v)
+                np.copyto(iv, r, casting="unsafe")
+                ks = np.flatnonzero(v >= thr)
+                for k in ks[v[ks] >= 0.5 - margin].tolist():
+                    # floor(x) = P // Q; for y, ceil(y) - 1 = (P' - 1) // Q
+                    P = (den * (l0 + k % n_cols) + sign * num) ** 2
+                    iv[k] = (P - (sign > 0)) // (den * den * int(a_rows[k // n_cols]))
+                screened.append(a_rows[ks // n_cols] * stride + iv[ks])
+            # count only b > a when A = B; at roots l > a both endpoints exceed a
+            # already, as (l - delta)^2 > a^2
+            below = min(n_cols, int(a_rows[-1]) + 1 - l0) if symmetric else 0
+            if below > 0:
+                for iv in (ix, iy):
+                    clip = iv.reshape(shape)[:, :below]
+                    np.maximum(clip, a_rows[:, None], out=clip)
+            # the prefix counts take the bytes of r, which is read no more
+            cx, cy = r.view(np.int32)[:c], r.view(np.int32)[c:]
+            np.take(C, ix, mode="clip", out=cx)
+            np.take(C, iy, mode="clip", out=cy)
+            np.subtract(cy, cx, out=cy)
+            hits = cy.reshape(shape).sum(axis=0)
+            counts[e0 : e0 + n_cols] += 2 * hits if symmetric else hits
     if symmetric:
         counts[A - off] += 1  # the diagonal: sqrt(a * a) = a
     # the candidate pairs: b = f and f + 1 for each screened floor f, in B (C(b) > C(b - 1),
     # and b <= 0 and b > 2N clip to equal counts), and b >= a when A = B
-    keys = np.concatenate(wp.screened)  # every tile appends, and a count has a tile
+    keys = np.concatenate(screened)  # every tile appends, and a count has a tile
     keys = np.sort(np.concatenate((keys, keys + 1)))
     keys = keys[np.diff(keys, prepend=-1) != 0]  # np.unique imports numpy.ma
-    a_c, b_c = np.divmod(keys, wp.stride)
-    keep = np.take(wp.C, b_c, mode="clip") > np.take(wp.C, b_c - 1, mode="clip")
+    a_c, b_c = np.divmod(keys, stride)
+    keep = np.take(C, b_c, mode="clip") > np.take(C, b_c - 1, mode="clip")
     if symmetric:
         keep &= b_c >= a_c
     if not keep.any():
@@ -384,7 +370,7 @@ def _window_count(A: np.ndarray, B: np.ndarray, delta: Fraction, N: int, off: in
     screen = _PairPass(delta, N, np.zeros_like(counts), off, min(len(prods), chunk))
     for j in range(0, len(prods), chunk):
         screen.decide(prods[j : j + chunk])
-    cert = (wp.tau - wp.margin) / 4 - 2 * screen.margin
+    cert = (tau - margin) / 4 - 2 * screen.margin
     if screen.min_margin < cert and screen.margin < cert:
         return counts, screen.min_margin, screen.fallbacks
     return None
@@ -417,6 +403,18 @@ def check_base_N(N: int) -> None:
         raise BudgetError("products exceed the exact float-filter range")
 
 
+def check_delta(delta: Fraction) -> None:
+    """Reject a window outside (0, 1)."""
+    if not 0 < delta < 1:
+        raise InvalidArgumentError("window delta must lie in (0, 1)")
+
+
+def check_pair_budget(pairs: int, max_pairs: int) -> None:
+    """Reject more than ``max_pairs`` pairs (N^2 for full sets, known before the draw)."""
+    if pairs > max_pairs:
+        raise BudgetError(f"{pairs} pairs exceed the budget of {max_pairs}")
+
+
 def count_near_squares(
     A: IntervalSubset,
     B: IntervalSubset,
@@ -430,30 +428,30 @@ def count_near_squares(
     integer comparison: the float path only decides pairs whose margin
     provably exceeds the square-root rounding error, the rest fall back to
     integer arithmetic.  Values 1/2 < delta < 1 are supported; a pair may
-    then contribute two rounded values, and H_count counts incidences.
+    then contribute two rounded values, and H_count counts incidences.  Its
+    refusals are ``check_*`` helpers, which callers can run before a draw.
 
     Two passes count, with the same results to the last bit:
 
-    - The window pass (``_WindowPass``, where its margin is proven) counts,
-      for each a of A and each root l, the b of B inside the window of l at
-      once from a prefix count of B.  It walks blocks of ``WINDOW_ROWS``
-      rows against every root within 1 of sqrt(ab) for some b of the
-      block: about 0.23 N windows per row when A = B and 0.51 N otherwise,
-      whatever |B| is.  At every delta it runs when these windows, summed
-      before anything is allocated, are fewer than the |A||B| pairs of the
-      pair pass, and only it uses A = B.  When its screen cannot certify
-      the pair pass's margin and fallbacks, the pair pass counts again.
+    - The window pass (``_window_count``, whose docstring proves its margin)
+      counts, for each a of A and each root l, the b of B inside the window
+      of l at once from a prefix count of B.  It walks blocks of
+      ``WINDOW_ROWS`` rows, in one plain loop, against every root within 1
+      of sqrt(ab) for some b of the block: about 0.23 N windows per row when
+      A = B and 0.51 N otherwise, whatever |B| is.  At every delta it runs
+      when these windows, summed before anything is allocated, are fewer
+      than the |A||B| pairs of the pair pass, and only it uses A = B.  When
+      its screen cannot certify the pair pass's margin and fallbacks, the
+      pair pass counts again.
     - The pair pass (``_PairPass``, ``_pair_count``) decides every ordered
       pair, in tiles of at most ``CELLS`` products.
     """
     if A.base_N != B.base_N:
         raise InvalidArgumentError("both subsets must share the same base N")
     delta = as_fraction(delta)
-    if not 0 < delta < 1:
-        raise InvalidArgumentError("window delta must lie in (0, 1)")
+    check_delta(delta)
     n_pairs = len(A) * len(B)
-    if n_pairs > max_pairs:
-        raise BudgetError(f"{n_pairs} pairs exceed the budget of {max_pairs}")
+    check_pair_budget(n_pairs, max_pairs)
 
     N = A.base_N
     check_base_N(N)

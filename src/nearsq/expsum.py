@@ -187,6 +187,16 @@ def _tile_sums(a_rows, b_arr, hs, d, t, x, v, out) -> None:
         np.add.reduce(v, axis=1, out=out[i, 1])
 
 
+def check_bilinear_terms(H0: int, d: int, size_A: int, size_B: int) -> None:
+    """Reject an H0 or d below 1, and more than ``TERM_BUDGET`` terms h, a, b; for full
+    sets the sizes are N, known before either is drawn."""
+    if H0 < 1 or d < 1:
+        raise InvalidArgumentError("H0 and d must be at least 1")
+    terms = H0 * size_A * size_B
+    if terms > TERM_BUDGET:
+        raise BudgetError(f"{terms} terms exceed the budget of {TERM_BUDGET}")
+
+
 def bilinear_sum_check(
     H0: int,
     A: IntervalSubset,
@@ -222,17 +232,13 @@ def bilinear_sum_check(
     here; the other workers stop at their next tile.  The caller waits for
     the others without blocking, so that its CPU does not go idle.
     """
-    if H0 < 1 or d < 1:
-        raise InvalidArgumentError("H0 and d must be at least 1")
+    check_bilinear_terms(H0, d, len(A), len(B))
     if weights not in ("unit", "adversarial"):
         raise InvalidArgumentError("weights must be 'unit' or 'adversarial'")
     if A.base_N != B.base_N:
         raise InvalidArgumentError("both subsets must share the same base N")
     if len(A) == 0 or len(B) == 0:  # the bound would be 0
         raise InvalidArgumentError("subsets must be nonempty")
-    terms = H0 * len(A) * len(B)
-    if terms > TERM_BUDGET:
-        raise BudgetError(f"{terms} terms exceed the budget of {TERM_BUDGET}")
 
     N = A.base_N
     a_arr = A.elements.astype(np.float64)

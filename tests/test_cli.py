@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nearsq import cli
+from nearsq import cli, experiments
 from nearsq.arith import build_prime_table
 from nearsq.cli import COMMANDS, RunConfig, build_parser, dispatch, main
 from nearsq.errors import EXIT_CODES
@@ -38,9 +38,11 @@ def run_cli_captured(argv):
 
 # numeric strings no command can use, and small values per flag: valid ones,
 # plus malformed lists for the list flags.  The valid ones keep every run
-# cheap (u-max <= 12, z <= 1e5, N <= 300, H <= 50, expsum sizes <= 200).
+# cheap (u-max <= 12, z <= 1e5, N <= 300, H <= 50, expsum sizes <= 200), but
+# for N = 10^12, which every command refuses before it draws a set.
 BAD_NUMBERS = ["nan", "inf", "-inf", "0", "-1", "1/0", "abc"]
 BAD_LISTS = ["1:2:3", "2,x", "1,", ""]
+HUGE = str(10**12)
 FUZZ_FLAGS = {
     "constant": {"--k": ["4", "5"], "--delta": ["0.0121", "0.05"], "--tol": ["1e-9", "1e-13"]},
     "threshold": {"--eta": ["1", "9/10"], "--beta": ["1", "0.8"],
@@ -50,25 +52,26 @@ FUZZ_FLAGS = {
     "mertens": {"--z": ["2", "10", "1e5"]},
     "sweep --target=constant": {"--k": ["4", "5"], "--delta-start": ["0.001", "0.05"],
                                 "--delta-end": ["0.002", "0.09"], "--delta-step": ["1e-3", "0.01"]},
-    "experiment": {"--N": ["50", "300"], "--kind": ["full", "bernoulli"],
+    "experiment": {"--N": ["50", "300", HUGE], "--kind": ["full", "bernoulli"],
                    "--density": ["0.5", "1"], "--delta": ["1/20", "0.3"],
                    "--delta-exp": ["0.05", "0.5", "-1e10"], "--k": ["2", "6"],
                    "--d-max": ["10", "100"], "--max-pairs": ["100", "10000000"],
                    "--seed": ["0", "3"]},
     "psi-approx": {"--H": ["2", "50"], "--grid-points": ["1", "100"]},
-    "expsum-check --check=quadruples": {"--M": ["1", "20"], "--N": ["1", "20"],
+    "expsum-check --check=quadruples": {"--M": ["1", "20"], "--N": ["1", "20", HUGE],
                                         "--theta": ["0.01", "1e-6"], "--alpha": ["0.5", "-1"],
                                         "--beta": ["0.5", "2"]},
-    "expsum-check --check=pairs": {"--N": ["2", "200"], "--X": ["1", "10"],
+    "expsum-check --check=pairs": {"--N": ["2", "200", HUGE], "--X": ["1", "10"],
                                    "--kind": ["full", "bernoulli"], "--density": ["0.5", "1"],
                                    "--seed": ["0", "5"]},
-    "expsum-check --check=bilinear": {"--N": ["2", "200"], "--H0": ["1", "4"], "--d": ["1", "3"],
-                                      "--kind": ["full", "bernoulli"], "--density": ["0.5"],
+    "expsum-check --check=bilinear": {"--N": ["2", "200", HUGE], "--H0": ["1", "4"],
+                                      "--d": ["1", "3"], "--kind": ["full", "bernoulli"],
+                                      "--density": ["0.5"],
                                       "--seed": ["0", "5"]},
-    "sweep --target=residual": {"--N-list": ["50", "100,200", *BAD_LISTS],
+    "sweep --target=residual": {"--N-list": ["50", "100,200", HUGE, *BAD_LISTS],
                                 "--seeds": ["0", "0:2", "1,3", *BAD_LISTS],
                                 "--density": ["0.8"], "--delta": ["1/10", "0.3"]},
-    "sweep --target=remainder": {"--N-list": ["50", "100,300", *BAD_LISTS]},
+    "sweep --target=remainder": {"--N-list": ["50", "100,300", HUGE, *BAD_LISTS]},
     "sweep --target=quadruples": {"--sizes": ["2", "2,4", *BAD_LISTS], "--theta": ["1e-6", "0.1"]},
     "sweep --target=bilinear": {"--sizes": ["2", "8,16", *BAD_LISTS], "--H0": ["1", "4"],
                                 "--d": ["1", "2"]},
@@ -509,6 +512,50 @@ class TestErrors:
         assert (code, out) == (4, "")
         assert err.splitlines() == ["error: products exceed the exact float-filter range"]
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (["experiment", "--N", "10000000", "--delta", "2"], 2, "window delta must lie in (0, 1)"),
+        (["experiment", "--N", "10000000"], 4,
+         "100000000000000 pairs exceed the budget of 1000000000"),
+        (["sweep", "--target", "remainder", "--N-list", "1000000"], 4,
+         "1000000000000 pairs exceed the budget of 40000000000"),
+        (["expsum-check", "--check", "bilinear", "--N", HUGE, "--H0", "1"], 4,
+         "1000000000000000000000000 terms exceed the budget of 100000000"),
+    ], ids=["delta", "pairs", "remainder-sweep", "bilinear-terms"])
+    def test_flag_only_faults_are_refused_before_any_draw(self, capsys, monkeypatch, argv, code,
+                                                          message):
+        # full sets have N^2 pairs, and N^2 H0 bilinear terms
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a subset was drawn")
+
+        monkeypatch.setattr(cli, "generate_subset", no_draw)
+        got, out, err = run_cli(capsys, argv)
+        assert (got, out, err.splitlines()) == (code, "", [f"error: {message}"])
+
+    @pytest.mark.parametrize("argv", [
+        ["expsum-check", "--check", "pairs", "--N", HUGE, "--X", "5"],
+        ["expsum-check", "--check", "pairs", "--N", HUGE, "--X", "5", "--density", "0.5"],
+        ["expsum-check", "--check", "bilinear", "--N", HUGE, "--H0", "1", "--density", "1e-9"],
+    ], ids=["full", "bernoulli", "bilinear-bernoulli"])
+    def test_huge_N_is_refused_before_the_draw(self, capsys, monkeypatch, argv):
+        # the window (N, 2N] at N = 10^12 would be 8 TB, and a Bernoulli set
+        # is drawn in a million chunks of 2^20 uniforms
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a subset was drawn")
+
+        monkeypatch.setattr(experiments.np, "arange", no_draw)
+        monkeypatch.setattr(experiments.np.random, "default_rng", no_draw)
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (4, "")
+        assert err.splitlines() == [
+            "error: base_N = 1000000000000 exceeds the budget of 100000000"]
+
+    def test_bernoulli_sets_are_not_refused_on_their_largest_size(self, capsys):
+        # N^2 H0 = 4 * 10^10 terms would exceed the budget; these sets hold about 10^2 each
+        code, out, err = run_cli(capsys, ["expsum-check", "--check", "bilinear", "--N", "100000",
+                                          "--density", "0.001", "--H0", "4"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["params"]["size_A"] < 1000
+
     def test_delta_and_delta_exp_together_exit_2(self, capsys, tmp_path):
         message = ["error: experiment takes --delta or --delta-exp, not both"]
         argv = ["experiment", "--N", "300"]
@@ -681,16 +728,39 @@ class TestErrors:
         assert err.startswith("error: ")
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("argv", [
-        ["mertens", "--z", "10", "--seed", "1"],
-        ["constant", "--k", "4", "--delta", "0.01", "--threads", "2"],
-        ["sweep", "--format", "csv"],
-    ])
-    def test_flags_a_command_does_not_read_are_rejected(self, argv):
+    @pytest.mark.parametrize("argv, config, message", [
+        (["mertens", "--z", "10", "--seed", "1"], None, "unrecognized arguments: --seed 1"),
+        (["constant", "--k", "4", "--delta", "0.01", "--threads", "2"], None,
+         "unrecognized arguments: --threads 2"),
+        (["sweep", "--format", "csv"], None, "unrecognized arguments: --format csv"),
+        # flags of another mode of the command
+        (["sweep", "--target", "remainder", "--N-list", "300", "--delta", "1/3", "--seeds", "0:3",
+          "--density", "0.5"], None, "error: sweep 'remainder' does not read --seeds, --delta, "
+         "--density"),
+        (["expsum-check", "--check", "quadruples", "--M", "4", "--N", "4", "--theta", "0.01",
+          "--X", "5", "--H0", "3", "--weights", "adversarial"], None,
+         "error: expsum check 'quadruples' does not read --X, --H0, --weights"),
+        (["expsum-check", "--check", "pairs", "--N", "100", "--X", "5"], {"alpha": 0.3},
+         "error: expsum check 'pairs' does not read --alpha"),
+    ], ids=[f"argv{i}" for i in range(6)])
+    def test_flags_a_command_does_not_read_are_rejected(self, tmp_path, argv, config, message):
+        if config is not None:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps({"parameters": config}))
+            argv = argv + ["--config", str(path)]
         code, out, err = run_cli_captured(argv)
-        assert code == 2
-        assert out == ""
-        assert "unrecognized arguments" in err
+        assert (code, out) == (2, "")
+        assert [line for line in err.splitlines() if "error:" in line] == err.splitlines()[-1:]
+        assert err.splitlines()[-1].endswith(message)
+
+    def test_each_mode_reads_its_own_flags(self):
+        # (mode, flag) pairs that a run can set, --format and --output included
+        settable = 0
+        for command in ("sweep", "expsum-check"):
+            params = COMMANDS[command][3]
+            for mode in params[0].choices:
+                settable += sum(not prm.needed_by or mode in prm.needed_by for prm in params)
+        assert settable == 60
 
     def test_unwritable_output_exits_2(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, [

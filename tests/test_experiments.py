@@ -473,16 +473,27 @@ class TestWindowPass:
         assert not calls
 
         # sets whose windows are not fewer than their pairs stay on the pair
-        # pass, at every delta, and the rule sends them there before the
-        # window pass allocates
-        def no_window_pass(*args):
-            raise AssertionError("the window pass was built")
-
-        monkeypatch.setattr(experiments, "_WindowPass", no_window_pass)
+        # pass, at every delta
         for delta in (Fraction(2, 3), Fraction(1, 2), Fraction(1, 20)):
             count_near_squares(sparse, sparse, delta)
             count_near_squares(full, sparse, delta)
         assert len(calls) == 6
+
+        # and the rule sends them there before the window pass allocates: at
+        # N = 10^6 its prefix counts and root edges (32 MB) dwarf the pair
+        # pass's tiles (1 MB), so the peak stays below the multiplicities
+        # plus the prefix counts
+        N = 10**6
+        sparse = [generate_subset(N, "bernoulli", density=0.001, seed=s) for s in (1, 2)]
+        for A, B in (sparse, sparse[:1] * 2):
+            tracemalloc.start()
+            try:
+                count_near_squares(A, B, Fraction(1, 20))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * (N + 4) + 4 * (2 * N + 1)
+        assert len(calls) == 8
 
     @pytest.mark.parametrize("side", [1, -1], ids=["above", "below"])
     def test_windows_next_to_one_half_certify(self, monkeypatch, side):
