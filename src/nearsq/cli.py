@@ -7,8 +7,9 @@ opt-in.  Module errors map to distinct exit codes: usage/invalid 2, regime
 
 ``COMMANDS`` declares each parameter once.  argparse only splits argv into
 strings; ``dispatch`` defaults, checks and converts every value the same way,
-whether it came from a flag, a ``--config`` file or a RunConfig built in code.
-A run is a command and its parameters, nothing else.  ``sweep`` adds no
+whether it came from a flag, a ``--config`` file or a RunConfig built in code,
+and refuses a parameter that the run's mode (``--check``, ``--target``) does
+not read.  A run is a command and its parameters, nothing else.  ``sweep`` adds no
 computation of its own: each of its rows is one run of the command that
 ``SWEEPS`` names for its target, and its cells are keys of that run's report.
 An ``experiment`` row calls the command's handler with ``roots=False``: it
@@ -593,12 +594,13 @@ def _resolve(config: RunConfig, params: tuple) -> dict:
     mode = p[params[0].name] if params[0].choices else None
     # "experiment needs --N", or per mode: "expsum check 'pairs' needs --X"
     who = f"{config.command.replace('-', ' ')} {mode!r}" if mode else config.command
-    read = [prm for prm in params if not prm.needed_by or mode in prm.needed_by]
-    unread = [prm.flag for prm in params if prm not in read
+    read = {prm.name for prm in params if not prm.needed_by or mode in prm.needed_by}
+    unread = [prm.flag for prm in params if prm.name not in read
               and config.parameters.get(prm.name) is not None]
     if unread:
         raise InvalidArgumentError(f"{who} does not read {', '.join(unread)}")
-    missing = [prm.flag for prm in read if p[prm.name] is None and prm.default is REQUIRED]
+    missing = [prm.flag for prm in params if prm.name in read and p[prm.name] is None
+               and prm.default is REQUIRED]
     if missing:
         raise InvalidArgumentError(f"{who} needs {', '.join(missing)}")
     return p

@@ -480,7 +480,7 @@ class TestWindowPass:
         assert len(calls) == 6
 
         # and the rule sends them there before the window pass allocates: at
-        # N = 10^6 its prefix counts and root edges (32 MB) dwarf the pair
+        # N = 10^6 its prefix counts and root edges (24 MB) dwarf the pair
         # pass's tiles (1 MB), so the peak stays below the multiplicities
         # plus the prefix counts
         N = 10**6
